@@ -22,7 +22,7 @@ from .checker import (
     Timeout, check_bounded, format_dependency_report, replay_counterexample,
 )
 from .driver import (
-    instantiate_model, load_failure_catalog, load_spec_catalog,
+    instance_system, load_failure_catalog, load_spec_catalog,
     load_target_matrix, parse_spec_file, plan_batch, run_batch, write_report,
 )
 from .driver.catalog import FATAL
@@ -129,8 +129,7 @@ def cmd_gen_vcs(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    template = Path(args.template).read_text()
-    model, ts = _load_system(args.template)
+    _, ts = _load_system(args.template)
     if ts is None:
         return 2
     catalog = load_failure_catalog(args.failures)
@@ -148,8 +147,7 @@ def cmd_batch(args) -> int:
         bound=args.bound,
     )
     probe_task = probe_plan.tasks[0]
-    probe = instantiate_model(template, probe_task, window, structural)
-    _, probe_ts = parse_model(probe.source), elaborate(parse_model(probe.source))
+    probe_ts = instance_system(ts, probe_task, window)
     subst = {
         "FAIL_A": probe_task.axis_a.variable,
         "FAIL_B": probe_task.axis_b.variable if probe_task.axis_b else probe_task.axis_a.variable,
@@ -170,7 +168,7 @@ def cmd_batch(args) -> int:
     plan = plan_batch(catalog, matrix, specs, selector, bound=args.bound)
     print(f"planned {len(plan)} task(s) over {plan.n_axes} axes")
     report = run_batch(
-        plan, template, specs, out_dir=args.out, window=window,
+        plan, ts, specs, out_dir=args.out, window=window,
         workers=args.workers, timeout=args.timeout, bound=args.bound,
     )
     files = write_report(report, args.out)

@@ -3,7 +3,8 @@ from .catalog import (
     TargetModeMatrix, load_failure_catalog, load_target_matrix,
 )
 from .inject import (
-    InstantiationError, ModelInstance, injection_assertions, instantiate_model,
+    InstantiationError, ModelInstance, injection_assertions, instance_system,
+    instantiate_model,
 )
 from .plan import BatchPlan, PlannedTask, PlanRangeError, plan_batch
 from .report import format_report_text, report_to_obj, write_report
@@ -18,8 +19,8 @@ __all__ = [
     "SpecCatalog", "SpecEntry", "SpecFileError", "parse_spec_file",
     "load_spec_catalog",
     "BatchPlan", "PlannedTask", "PlanRangeError", "plan_batch",
-    "ModelInstance", "instantiate_model", "injection_assertions",
-    "InstantiationError",
+    "ModelInstance", "instantiate_model", "instance_system",
+    "injection_assertions", "InstantiationError",
     "BatchReport", "TaskResult", "SpecResult", "run_batch", "run_unit",
     "write_report", "report_to_obj", "format_report_text",
 ]

@@ -1,8 +1,10 @@
 """Model enrichment: turn the template into a per-combination instance.
 
-The template pins every failure axis FALSE inside a marked region; the
-instance replaces the pins of the injected axes with blocks realizing the
-occurrence assumptions:
+The template pins every failure axis FALSE. `instance_system` builds an
+instance on the elaborated template: the injected axes get init/next rules
+realizing the occurrence assumptions, and a `<var>_occurred` latch per
+injected axis is appended after the template's variables, so no variable
+index of the template moves:
 
 * a failure occurs exactly once per run (a monotone has-occurred latch
   blocks re-arming) and is forced to start within its window;
@@ -13,7 +15,13 @@ occurrence assumptions:
   the start_A <= start_B ordering; sequential and overlapping activity are
   both reachable, including no overlap at all.
 
-Every instance is parsed and validated before it is returned.
+`check_injection` raises InstantiationError wherever the builder cannot
+serve a task, so a batch fails before any work is dispatched.
+
+`instantiate_model` is the independent text reference: it splices the same
+rules as model text into the template's marked injection region, then
+parses and validates the instance. The tests hold the flat builder equal to
+it, and filed traces can be replayed from the instance text.
 """
 from __future__ import annotations
 
@@ -21,6 +29,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..lang import parse_model, validate_model
+from ..semantics.system import (
+    BoolDomain, Const, FBinary, FCase, FChoice, FUnary, TransitionSystem,
+    VarDef, VarRef,
+)
 from .plan import PlannedTask
 from .specs import SpecCatalog
 
@@ -75,20 +87,7 @@ def instantiate_model(
 
     kept = _drop_pins(region, injected)
     source = head + kept + "".join(blocks) + tail
-
-    substitutions = {
-        "FAIL_A": va,
-        "WINDOW_LO": str(lo),
-        "WINDOW_HI": str(hi),
-    }
-    if task.scenario == "double":
-        substitutions["FAIL_B"] = task.axis_b.variable
-    if task.target is not None:
-        substitutions["TARGET_MODE"] = task.target
-    spec_texts = tuple(
-        (name, spec_catalog.get(name).instantiate(substitutions))
-        for name in task.specs
-    )
+    spec_texts = spec_formulas(task, window, spec_catalog)
 
     model = parse_model(source)
     diags = [d for d in validate_model(model) if d.severity == "error"]
@@ -109,6 +108,96 @@ def instantiate_model(
         specs=spec_texts,
         assertions=tuple(injection_assertions(task, window)),
         window=window,
+    )
+
+
+def spec_formulas(task: PlannedTask, window: tuple[int, int],
+                  spec_catalog: SpecCatalog) -> tuple[tuple[str, str], ...]:
+    """(name, formula) of each spec of the task, placeholders substituted."""
+    substitutions = {
+        "FAIL_A": task.axis_a.variable,
+        "WINDOW_LO": str(window[0]),
+        "WINDOW_HI": str(window[1]),
+    }
+    if task.scenario == "double":
+        substitutions["FAIL_B"] = task.axis_b.variable
+    if task.target is not None:
+        substitutions["TARGET_MODE"] = task.target
+    return tuple(
+        (name, spec_catalog.get(name).instantiate(substitutions))
+        for name in task.specs
+    )
+
+
+_FALSE = Const(False)
+_TRUE = Const(True)
+
+
+def check_injection(
+    template: TransitionSystem, task: PlannedTask, window: tuple[int, int],
+) -> list[tuple[str, int, int, Optional[str]]]:
+    """The injections of a task as (axis, first start, last start, the axis
+    that must have started first); raises InstantiationError where
+    instance_system cannot build the instance."""
+    lo, hi = window
+    if lo > hi:
+        raise InstantiationError(f"bad injection window [{lo}, {hi}]")
+    va = task.axis_a.variable
+    if task.scenario == "single":
+        injections = [(va, lo, hi, None)]
+    else:
+        if lo + 1 > hi:
+            raise InstantiationError(
+                f"window [{lo}, {hi}] is too small for an ordered pair"
+            )
+        injections = [(va, lo, hi - 1, None), (task.axis_b.variable, lo + 1, hi, va)]
+    if "Step" not in template.index:
+        raise InstantiationError("template has no Step variable")
+    for var, *_ in injections:
+        v = template.var(var) if var in template.index else None
+        if v is None or not isinstance(v.domain, BoolDomain) or not all(
+            isinstance(rule, Const) and rule.value is False for rule in (v.init, v.next)
+        ):
+            raise InstantiationError(
+                f"failure variable {var!r} is not a boolean template variable "
+                "pinned FALSE"
+            )
+        latch = f"{var}_occurred"
+        if latch in template.index or latch in template.defines:
+            raise InstantiationError(f"latch name {latch!r} is taken in the template")
+    return injections
+
+
+def instance_system(
+    template: TransitionSystem, task: PlannedTask, window: tuple[int, int],
+) -> TransitionSystem:
+    """The instance of a task, built on the elaborated template with the
+    rules that _injection_block writes as text."""
+    injections = check_injection(template, task, window)
+    next_step = FBinary("+", VarRef(template.index["Step"], "Step"), Const(1))
+    variables = list(template.variables)
+    refs: dict[str, VarRef] = {}
+    for var, lo, hi, pre in injections:
+        axis = refs[var] = VarRef(template.index[var], var)
+        latch = refs[f"{var}_occurred"] = VarRef(len(variables), f"{var}_occurred")
+        armed = FUnary("!", latch)
+        if pre is not None:
+            armed = FBinary("&", armed, FBinary("|", refs[pre], refs[f"{pre}_occurred"]))
+        start = FCase((
+            (axis, FChoice((_TRUE, _FALSE))),
+            (FBinary("&", FBinary("&", armed, FBinary(">=", next_step, Const(lo))),
+                     FBinary("<", next_step, Const(hi))), FChoice((_FALSE, _TRUE))),
+            (FBinary("&", armed, FBinary("=", next_step, Const(hi))), _TRUE),
+            (_TRUE, _FALSE),
+        ))
+        variables[axis.index] = VarDef(var, BoolDomain(), init=_FALSE, next=start)
+        variables.append(VarDef(latch.name, BoolDomain(), init=_FALSE,
+                                next=FBinary("|", latch, axis)))
+    return TransitionSystem(
+        tuple(variables),
+        defines=template.defines,
+        step_duration_ms=template.step_duration_ms,
+        source_name=template.source_name,
     )
 
 

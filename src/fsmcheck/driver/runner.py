@@ -1,17 +1,20 @@
 """Parallel batch execution.
 
-The unit of parallelism is one (combination, spec) pair. A coordinator
-instantiates the per-combination models, hands units to W workers, and
-merges results in deterministic (row, col, spec) order, so report content
-is a pure function of the inputs and never of worker scheduling.
-Counterexample traces are filed by the coordinator, one directory per
-combination.
+The unit of parallelism is one (combination, spec) pair. The coordinator
+builds no instance: it checks that every task can be injected, substitutes
+each task's spec formulas, and hands the units to W workers. The elaborated
+template goes to each worker once, through the pool initializer (in-process
+when W is 1), and a worker builds the instance system of each unit it runs
+from it. Results merge in deterministic (row, col, spec) order, so report
+content is a pure function of the inputs and never of worker scheduling.
+Workers render counterexample traces with `traceio`; the coordinator files
+them, one directory per combination.
 """
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -19,12 +22,10 @@ from ..checker import (
     CheckTask, Counterexample, ModelError, NoCounterexampleWithinBound,
     Timeout, check_bounded, replay_counterexample,
 )
-from ..lang import parse_model
 from ..ltl import PrefixVerdict, parse_ltl
-from ..semantics import elaborate
-from ..semantics.traceio import format_value
-from .inject import instantiate_model
-from .plan import BatchPlan, PlannedTask
+from ..semantics import TransitionSystem, trace_to_text
+from .inject import check_injection, instance_system, spec_formulas
+from .plan import BatchPlan
 from .specs import SpecCatalog
 
 VERDICTS = ("PASS", "VIOLATED", "INCONCLUSIVE", "TIMEOUT", "ERROR")
@@ -97,18 +98,12 @@ class BatchReport:
 
 # --- worker side -------------------------------------------------------------
 
-_TS_CACHE: dict[int, object] = {}
+_template: Optional[TransitionSystem] = None
 
 
-def _system_for(source: str):
-    key = hash(source)
-    ts = _TS_CACHE.get(key)
-    if ts is None:
-        ts = elaborate(parse_model(source))
-        if len(_TS_CACHE) > 8:
-            _TS_CACHE.clear()
-        _TS_CACHE[key] = ts
-    return ts
+def _init_worker(template: TransitionSystem) -> None:
+    global _template
+    _template = template
 
 
 def run_unit(payload: dict) -> dict:
@@ -125,7 +120,7 @@ def run_unit(payload: dict) -> dict:
         "trace": None,
     }
     try:
-        ts = _system_for(payload["source"])
+        ts = instance_system(_template, payload["task"], payload["window"])
         formula = parse_ltl(payload["formula"], ts)
         verdict = check_bounded(
             CheckTask(ts, formula, bound_k=payload["bound"], timeout=payload["timeout"])
@@ -137,7 +132,7 @@ def run_unit(payload: dict) -> dict:
             else:
                 out["verdict"] = "VIOLATED"
                 out["violation_step"] = verdict.violation_step
-                out["trace"] = _trace_payload(verdict.trace)
+                out["trace"] = trace_to_text(verdict.trace)
         elif isinstance(verdict, NoCounterexampleWithinBound):
             out["verdict"] = "PASS" if verdict.all_paths_decided else "INCONCLUSIVE"
         elif isinstance(verdict, Timeout):
@@ -151,18 +146,12 @@ def run_unit(payload: dict) -> dict:
     return out
 
 
-def _trace_payload(trace) -> list[dict]:
-    sys = trace.states[0].system
-    names = sorted(sys.index)
-    return [{n: s[n] for n in names} for s in trace.states]
-
-
 # --- coordinator --------------------------------------------------------------
 
 
 def run_batch(
     plan: BatchPlan,
-    template: str,
+    template: TransitionSystem,
     spec_catalog: SpecCatalog,
     *,
     out_dir,
@@ -177,26 +166,28 @@ def run_batch(
     k = bound if bound is not None else plan.bound
 
     payloads = []
-    task_index: dict[tuple[int, int], PlannedTask] = {}
     for task in plan.tasks:
-        task_index[(task.row, task.col)] = task
-        instance = instantiate_model(template, task, window, spec_catalog)
-        for spec_index, (name, formula) in enumerate(instance.specs):
+        check_injection(template, task, window)
+        for spec_index, (name, formula) in enumerate(
+                spec_formulas(task, window, spec_catalog)):
             payloads.append({
                 "row": task.row,
                 "col": task.col,
                 "spec_index": spec_index,
                 "spec_name": name,
-                "source": instance.source,
+                "task": task,
+                "window": window,
                 "formula": formula,
                 "bound": k,
                 "timeout": timeout,
             })
 
     if workers <= 1:
+        _init_worker(template)
         results = [run_unit(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(template,)) as pool:
             futures = [pool.submit(run_unit, p) for p in payloads]
             results = []
             for payload, fut in zip(payloads, futures):
@@ -223,8 +214,11 @@ def run_batch(
         spec_results = []
         for u in units:
             trace_path = None
-            if u["verdict"] == "VIOLATED" and u["trace"] is not None:
-                trace_path = _file_trace(out, task.model_id, u)
+            if u["trace"] is not None:
+                path = out / task.model_id / f"{u['spec_name']}.trace"
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(u["trace"])
+                trace_path = str(path.relative_to(out))
             spec_results.append(SpecResult(
                 name=u["spec_name"],
                 verdict=u["verdict"],
@@ -245,17 +239,3 @@ def run_batch(
         window=window, total_elapsed=time.perf_counter() - started,
     )
     return report
-
-
-def _file_trace(out: Path, model_id: str, unit: dict) -> str:
-    combo_dir = out / model_id
-    combo_dir.mkdir(parents=True, exist_ok=True)
-    path = combo_dir / f"{unit['spec_name']}.trace"
-    lines = []
-    for i, values in enumerate(unit["trace"]):
-        lines.append(f"step {i}")
-        for name in sorted(values):
-            lines.append(f"{name} = {format_value(values[name])}")
-        lines.append("")
-    path.write_text("\n".join(lines))
-    return str(path.relative_to(out))

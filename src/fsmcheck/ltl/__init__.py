@@ -3,7 +3,6 @@ from .formula import Formula, format_formula, has_past, has_unbounded
 from .parser import LtlError, parse_ltl
 from .past import PastEliminationError, eliminate_past
 from .prefix import PrefixVerdict, holds_on_prefix
-from .rewrite import expand_bounded
 
 __all__ = [
     "formula",
@@ -17,5 +16,4 @@ __all__ = [
     "PastEliminationError",
     "holds_on_prefix",
     "PrefixVerdict",
-    "expand_bounded",
 ]

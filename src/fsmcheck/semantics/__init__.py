@@ -6,7 +6,7 @@ from .exec import (
     simulate, successors,
 )
 from .system import (
-    BoolDomain, ChoicePoint, Const, EnumDomain, FBinary, FCase, FChoice,
+    BoolDomain, Const, EnumDomain, FBinary, FCase, FChoice,
     FExpr, FUnary, IntDomain, MonitorRule, State, Trace, TransitionSystem,
     Value, VarDef, VarRef, format_fexpr,
 )
@@ -22,7 +22,7 @@ __all__ = [
     "infer_kind", "ModelStepError", "ResolutionError",
     "Chooser", "first_choice", "seeded_random_chooser", "scripted_chooser",
     "TransitionSystem", "State", "Trace", "VarDef", "VarRef", "MonitorRule",
-    "BoolDomain", "EnumDomain", "IntDomain", "ChoicePoint",
+    "BoolDomain", "EnumDomain", "IntDomain",
     "FExpr", "Const", "FUnary", "FBinary", "FCase", "FChoice", "format_fexpr",
     "Value",
     "trace_to_text", "trace_from_text", "trace_to_json", "trace_from_json",

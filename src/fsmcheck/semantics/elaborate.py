@@ -12,7 +12,7 @@ from typing import Optional, Union
 
 from ..lang import ast
 from .system import (
-    BoolDomain, ChoicePoint, Const, EnumDomain, FBinary, FCase, FChoice, FExpr,
+    BoolDomain, Const, EnumDomain, FBinary, FCase, FChoice, FExpr,
     FUnary, IntDomain, TransitionSystem, VarDef, VarRef,
 )
 
@@ -48,7 +48,6 @@ def elaborate(model: ast.ModelAst, source_name: str = "<model>") -> TransitionSy
     return TransitionSystem(
         tuple(builder.vardefs),
         defines=builder.defines,
-        choice_points=tuple(builder.choice_points),
         source_name=source_name,
     )
 
@@ -72,7 +71,6 @@ class _Builder:
         self.symbols = symbols
         self.vardefs: list[VarDef] = []
         self.defines: dict[str, FExpr] = {}
-        self.choice_points: list[ChoicePoint] = []
         self._order: list[tuple[_Inst, ast.VarDecl]] = []
 
     def build_tree(self, module: ast.ModuleDecl, path: str) -> _Inst:
@@ -163,10 +161,7 @@ class _Builder:
             self.defines[inst.qualify(d.name)] = self._define(inst, d.name)
         rules: dict[tuple[str, str], FExpr] = {}
         for rule in inst.module.assigns:
-            flat = self._flatten_expr(inst, rule.expr)
-            rules[(rule.kind, rule.target)] = flat
-            if _has_choice(flat):
-                self.choice_points.append(ChoicePoint(inst.qualify(rule.target), rule.kind))
+            rules[(rule.kind, rule.target)] = self._flatten_expr(inst, rule.expr)
         for name, idx in inst.var_index.items():
             base = self.vardefs[idx]
             self.vardefs[idx] = VarDef(
@@ -268,11 +263,3 @@ def _fold(e: FExpr) -> FExpr:
                 return Const(a - b)
         return FBinary(e.op, left, right)
     return e
-
-
-def _has_choice(e: FExpr) -> bool:
-    if isinstance(e, FChoice):
-        return True
-    if isinstance(e, FCase):
-        return any(_has_choice(r) for _, r in e.arms)
-    return False

@@ -151,12 +151,6 @@ class VarDef:
     monitor: Optional[MonitorRule] = None
 
 
-@dataclass(frozen=True)
-class ChoicePoint:
-    var: str
-    rule: str  # "init" | "next"
-
-
 class TransitionSystem:
     """Immutable after construction; share freely across threads."""
 
@@ -164,13 +158,11 @@ class TransitionSystem:
         self,
         variables: tuple[VarDef, ...],
         defines: Optional[dict[str, FExpr]] = None,
-        choice_points: tuple[ChoicePoint, ...] = (),
         step_duration_ms: int = 10,
         source_name: str = "<model>",
     ):
         self.variables = variables
         self.defines = dict(defines or {})
-        self.choice_points = choice_points
         self.step_duration_ms = step_duration_ms
         self.source_name = source_name
         self.index = {v.name: i for i, v in enumerate(variables)}
@@ -199,7 +191,6 @@ class TransitionSystem:
         return TransitionSystem(
             self.variables + monitors,
             defines=self.defines,
-            choice_points=self.choice_points,
             step_duration_ms=self.step_duration_ms,
             source_name=self.source_name,
         )
@@ -220,7 +211,6 @@ class State:
 @dataclass(frozen=True)
 class Trace:
     states: tuple[State, ...]
-    loop_back: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.states)

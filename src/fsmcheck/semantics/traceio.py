@@ -3,8 +3,7 @@
 Two stable formats:
 
 * text — one block per step: a ``step <i>`` line followed by ``name = value``
-  lines sorted by qualified name, blocks separated by blank lines, plus an
-  optional trailing ``loopback <i>`` line;
+  lines sorted by qualified name, blocks separated by blank lines;
 * json — a single document with a steps array, for machine use.
 """
 from __future__ import annotations
@@ -51,15 +50,11 @@ def trace_to_text(trace: Trace) -> str:
         for name in sorted(state.system.index):
             lines.append(f"{name} = {format_value(state[name])}")
         blocks.append("\n".join(lines))
-    text = "\n\n".join(blocks)
-    if trace.loop_back is not None:
-        text += f"\n\nloopback {trace.loop_back}"
-    return text + "\n"
+    return "\n\n".join(blocks) + "\n"
 
 
 def trace_from_text(text: str, ts: TransitionSystem) -> Trace:
     states: list[State] = []
-    loop_back: Optional[int] = None
     current: Optional[dict] = None
 
     def flush():
@@ -79,11 +74,6 @@ def trace_from_text(text: str, ts: TransitionSystem) -> Trace:
             flush()
             current = {}
             continue
-        if line.startswith("loopback "):
-            flush()
-            current = None
-            loop_back = int(line.split()[1])
-            continue
         if current is None:
             raise TraceFormatError(f"value line outside a step block: {line!r}")
         name, _, value = line.partition(" = ")
@@ -93,7 +83,7 @@ def trace_from_text(text: str, ts: TransitionSystem) -> Trace:
     flush()
     if not states:
         raise TraceFormatError("trace has no steps")
-    return Trace(tuple(states), loop_back=loop_back)
+    return Trace(tuple(states))
 
 
 def trace_to_obj(trace: Trace) -> dict:
@@ -102,7 +92,6 @@ def trace_to_obj(trace: Trace) -> dict:
         "format": "fsmcheck-trace",
         "version": 1,
         "step_duration_ms": sys.step_duration_ms,
-        "loop_back": trace.loop_back,
         "steps": [
             {"step": i, "values": {n: s[n] for n in sorted(s.system.index)}}
             for i, s in enumerate(trace.states)
@@ -134,4 +123,4 @@ def trace_from_json(text: str, ts: TransitionSystem) -> Trace:
         states.append(State(values, ts))
     if not states:
         raise TraceFormatError("trace has no steps")
-    return Trace(tuple(states), loop_back=obj.get("loop_back"))
+    return Trace(tuple(states))

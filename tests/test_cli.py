@@ -107,6 +107,41 @@ def test_batch_cli_mutant_exit_one(tmp_path):
     assert report["summary"]["units"]["VIOLATED"] >= 1
 
 
+TIMING_FIELDS = {"elapsed", "wall_time", "total_elapsed", "workers"}
+
+
+def _without_timing(obj):
+    if isinstance(obj, dict):
+        return {k: _without_timing(v) for k, v in obj.items() if k not in TIMING_FIELDS}
+    if isinstance(obj, list):
+        return [_without_timing(v) for v in obj]
+    return obj
+
+
+def test_batch_report_and_traces_independent_of_workers(tmp_path):
+    mutant_dir = tmp_path / "mutant"
+    assert main(["gen-vcs", "--out", str(mutant_dir), "--desk",
+                 "--mutant", "swapped-fallback-priority"]) == 0
+    reports, traces = [], []
+    for workers in ("1", "2"):
+        out_dir = tmp_path / f"out{workers}"
+        code = main([
+            "batch",
+            "--template", str(mutant_dir / "vcs.fsm"),
+            "--failures", str(mutant_dir / "failures.csv"),
+            "--matrix", str(mutant_dir / "target_modes.csv"),
+            "--specs", str(mutant_dir / "specs.ltl"),
+            "--range", "8", "3", "8", "4",
+            "--workers", workers, "--out", str(out_dir),
+        ])
+        assert code == 1
+        reports.append(_without_timing(json.loads((out_dir / "report.json").read_text())))
+        traces.append({str(f.relative_to(out_dir)): f.read_bytes()
+                       for f in sorted(out_dir.rglob("*.trace"))})
+    assert reports[0] == reports[1]
+    assert traces[0] and traces[0] == traces[1]
+
+
 def test_check_rejects_bad_model(tmp_path, capsys):
     bad = tmp_path / "bad.fsm"
     bad.write_text("MODULE main VAR x : ;")

@@ -5,14 +5,16 @@ import pytest
 
 from fsmcheck.checker import CheckTask, NoCounterexampleWithinBound, check_bounded
 from fsmcheck.driver import (
-    CatalogError, InstantiationError, MatrixError, PlanRangeError,
-    SpecFileError, injection_assertions, instantiate_model,
-    load_failure_catalog, load_spec_catalog, load_target_matrix,
-    parse_spec_file, plan_batch, report_to_obj, run_batch, write_report,
+    CatalogError, FailureEntry, InstantiationError, MatrixError, PlannedTask,
+    PlanRangeError, SpecFileError, injection_assertions, instance_system,
+    instantiate_model, load_failure_catalog, load_spec_catalog,
+    load_target_matrix, parse_spec_file, plan_batch, report_to_obj, run_batch,
+    write_report,
 )
+from fsmcheck.driver import runner
 from fsmcheck.lang import parse_model, validate_model
 from fsmcheck.ltl import parse_ltl
-from fsmcheck.semantics import elaborate, scripted_chooser, simulate
+from fsmcheck.semantics import elaborate, format_fexpr, scripted_chooser, simulate
 from fsmcheck.vcs import VcsConfig, generate_vcs_model
 
 from helpers import FIXTURES
@@ -186,6 +188,105 @@ def test_fatal_cell_skips_target_specs(desk6):
 # --- instantiation -----------------------------------------------------------
 
 
+def build_text(template: str, task, window, specs):
+    """The reference: splice the instance text, then parse and elaborate it."""
+    return elaborate(parse_model(instantiate_model(template, task, window, specs).source))
+
+
+def build_flat(template: str, task, window, specs):
+    return instance_system(elaborate(parse_model(template)), task, window)
+
+
+BUILDERS = (build_text, build_flat)
+
+
+def by_name(ts):
+    """A system's variables (domain, init, next) and defines, keyed by name."""
+    def fmt(e):
+        return None if e is None else format_fexpr(e)
+    variables = {v.name: (str(v.domain), fmt(v.init), fmt(v.next)) for v in ts.variables}
+    return variables, {name: fmt(e) for name, e in ts.defines.items()}
+
+
+def test_flat_instance_equals_text_instance(desk, desk6):
+    catalog, matrix, specs = desk6
+    template = elaborate(parse_model(desk.model_text))
+    for task in plan_batch(catalog, matrix, specs, "full").tasks:
+        flat = instance_system(template, task, (15, 40))
+        text = build_text(desk.model_text, task, (15, 40), specs)
+        assert by_name(flat) == by_name(text), task.model_id
+        # the latches go after the template's variables
+        assert flat.names()[: len(template.variables)] == template.names()
+
+
+SMALL = """MODULE main
+VAR
+  Step : 0..50;
+  f_a : boolean;
+  f_b : boolean;
+ASSIGN
+  init(Step) := 0;
+  next(Step) := case Step = 50 : Step; TRUE : Step + 1; esac;
+  init(f_a) := FALSE;
+  next(f_a) := FALSE;
+  init(f_b) := FALSE;
+  next(f_b) := FALSE;
+"""
+
+
+def small_task(*variables):
+    """A single (one variable) or ordered-pair (two) task over SMALL's axes."""
+    a, *b = [FailureEntry(i, f"axis_{v}", v, "ecu") for i, v in enumerate(variables, 1)]
+    return PlannedTask(
+        row=1, col=len(variables) - 1, scenario="double" if b else "single",
+        axis_a=a, axis_b=b[0] if b else None, target=None, fatal=True,
+        model_id="small", specs=(), bound=50,
+    )
+
+
+def test_flat_builder_small_model_builds():
+    ts = instance_system(elaborate(parse_model(SMALL)), small_task("f_a", "f_b"), (15, 40))
+    assert ts.names()[-2:] == ["f_a_occurred", "f_b_occurred"]
+
+
+@pytest.mark.parametrize("variables, window, match", [
+    (("f_a",), (20, 10), "bad injection window"),
+    (("f_a", "f_b"), (20, 20), "too small for an ordered pair"),
+])
+def test_flat_builder_rejects_bad_window(variables, window, match):
+    template = elaborate(parse_model(SMALL))
+    with pytest.raises(InstantiationError, match=match):
+        instance_system(template, small_task(*variables), window)
+
+
+@pytest.mark.parametrize("axis, edit", [
+    ("f_ghost", None),
+    ("f_b", ("f_b : boolean;", "f_b : 0..3;")),
+    ("f_b", ("init(f_b) := FALSE;", "init(f_b) := TRUE;")),
+    ("f_b", ("next(f_b) := FALSE;", "next(f_b) := f_a;")),
+], ids=["absent", "not-boolean", "init-not-pinned", "next-not-pinned"])
+def test_flat_builder_rejects_unpinned_axis(axis, edit):
+    template = elaborate(parse_model(SMALL.replace(*edit) if edit else SMALL))
+    with pytest.raises(InstantiationError, match="pinned FALSE"):
+        instance_system(template, small_task("f_a", axis), (15, 40))
+
+
+def test_flat_builder_rejects_template_without_step():
+    text = SMALL.replace("Step", "Tick")
+    with pytest.raises(InstantiationError, match="no Step"):
+        instance_system(elaborate(parse_model(text)), small_task("f_a"), (15, 40))
+
+
+@pytest.mark.parametrize("edit", [
+    ("f_b : boolean;", "f_b : boolean;\n  f_a_occurred : boolean;"),
+    ("ASSIGN", "DEFINE\n  f_a_occurred := f_b;\nASSIGN"),
+], ids=["variable", "define"])
+def test_flat_builder_rejects_taken_latch_name(edit):
+    template = elaborate(parse_model(SMALL.replace(*edit)))
+    with pytest.raises(InstantiationError, match="taken"):
+        instance_system(template, small_task("f_a"), (15, 40))
+
+
 def test_instance_parses_and_validates(desk, desk6):
     catalog, matrix, specs = desk6
     plan = plan_batch(catalog, matrix, specs, (3, 5, 3, 5))
@@ -212,57 +313,58 @@ def test_unresolved_failure_variable(desk, desk6):
         fh.write(path_text)
     bad_catalog = load_failure_catalog(fh.name)
     plan = plan_batch(bad_catalog, load_target_matrix(FIXTURES / "target_modes6.csv", bad_catalog), specs, (3, 3, 3, 3))
-    with pytest.raises(InstantiationError):
-        instantiate_model(desk.model_text, plan.tasks[0], (15, 40), specs)
+    for build in BUILDERS:
+        with pytest.raises(InstantiationError):
+            build(desk.model_text, plan.tasks[0], (15, 40), specs)
 
 
 def test_single_injection_window_respected(desk, desk6):
     catalog, matrix, specs = desk6
     plan = plan_batch(catalog, matrix, specs, (3, 3, 3, 3))
-    inst = instantiate_model(desk.model_text, plan.tasks[0], (15, 40), specs)
-    ts = elaborate(parse_model(inst.source))
-    # forced activation: by default choices the failure starts at the window end
-    trace = simulate(ts, 45)
-    onset = next(i for i, s in enumerate(trace) if s["f_ecu_1"])
-    assert onset == 40
-    # directed: start at 20 instead
-    trace = simulate(ts, 45, scripted_chooser({(20, "f_ecu_1"): True}))
-    onset = next(i for i, s in enumerate(trace) if s["f_ecu_1"])
-    assert onset == 20
-    assert all(not s["f_ecu_1"] for s in trace.states[:15])
+    for build in BUILDERS:
+        ts = build(desk.model_text, plan.tasks[0], (15, 40), specs)
+        # forced activation: by default choices the failure starts at the window end
+        trace = simulate(ts, 45)
+        onset = next(i for i, s in enumerate(trace) if s["f_ecu_1"])
+        assert onset == 40, build.__name__
+        # directed: start at 20 instead
+        trace = simulate(ts, 45, scripted_chooser({(20, "f_ecu_1"): True}))
+        onset = next(i for i, s in enumerate(trace) if s["f_ecu_1"])
+        assert onset == 20, build.__name__
+        assert all(not s["f_ecu_1"] for s in trace.states[:15])
 
 
 def test_pair_overlap_scenarios(desk, desk6):
     catalog, matrix, specs = desk6
     plan = plan_batch(catalog, matrix, specs, (3, 5, 3, 5))
-    inst = instantiate_model(desk.model_text, plan.tasks[0], (15, 40), specs)
-    ts = elaborate(parse_model(inst.source))
     va, vb = "f_ecu_1", "f_bus_1"
-    # zero overlap: A active 16..17, gone before B starts at 25
-    script = {(16, va): True, (18, va): False, (25, vb): True, (27, vb): False}
-    trace = simulate(ts, 45, scripted_chooser(script))
-    a_steps = {i for i, s in enumerate(trace) if s[va]}
-    b_steps = {i for i, s in enumerate(trace) if s[vb]}
-    assert a_steps == {16, 17} and b_steps == {25, 26}
-    # full overlap: A active when B runs its whole activity
-    script = {(16, va): True, (20, vb): True, (22, vb): False, (30, va): False}
-    trace = simulate(ts, 45, scripted_chooser(script))
-    a_steps = {i for i, s in enumerate(trace) if s[va]}
-    b_steps = {i for i, s in enumerate(trace) if s[vb]}
-    assert b_steps and b_steps <= a_steps
-    assert min(a_steps) < min(b_steps)  # ordered starts
+    for build in BUILDERS:
+        ts = build(desk.model_text, plan.tasks[0], (15, 40), specs)
+        # zero overlap: A active 16..17, gone before B starts at 25
+        script = {(16, va): True, (18, va): False, (25, vb): True, (27, vb): False}
+        trace = simulate(ts, 45, scripted_chooser(script))
+        a_steps = {i for i, s in enumerate(trace) if s[va]}
+        b_steps = {i for i, s in enumerate(trace) if s[vb]}
+        assert a_steps == {16, 17} and b_steps == {25, 26}, build.__name__
+        # full overlap: A active when B runs its whole activity
+        script = {(16, va): True, (20, vb): True, (22, vb): False, (30, va): False}
+        trace = simulate(ts, 45, scripted_chooser(script))
+        a_steps = {i for i, s in enumerate(trace) if s[va]}
+        b_steps = {i for i, s in enumerate(trace) if s[vb]}
+        assert b_steps and b_steps <= a_steps, build.__name__
+        assert min(a_steps) < min(b_steps)  # ordered starts
 
 
 def test_injection_assumptions_hold(desk, desk6):
     catalog, matrix, specs = desk6
     plan = plan_batch(catalog, matrix, specs, (3, 5, 3, 5))
     task = plan.tasks[0]
-    inst = instantiate_model(desk.model_text, task, (15, 40), specs)
-    ts = elaborate(parse_model(inst.source))
-    for name, text in injection_assertions(task, (15, 40), bound=70):
-        f = parse_ltl(text, ts)
-        verdict = check_bounded(CheckTask(ts, f, bound_k=70))
-        assert isinstance(verdict, NoCounterexampleWithinBound), (name, verdict)
+    for build in BUILDERS:
+        ts = build(desk.model_text, task, (15, 40), specs)
+        for name, text in injection_assertions(task, (15, 40), bound=70):
+            f = parse_ltl(text, ts)
+            verdict = check_bounded(CheckTask(ts, f, bound_k=70))
+            assert isinstance(verdict, NoCounterexampleWithinBound), (build.__name__, name, verdict)
 
 
 # --- batch execution ----------------------------------------------------------
@@ -271,7 +373,8 @@ def test_injection_assumptions_hold(desk, desk6):
 def test_run_batch_small_and_report(desk, desk6, tmp_path):
     catalog, matrix, specs = desk6
     plan = plan_batch(catalog, matrix, specs, (1, 1, 2, 2), bound=70)
-    report = run_batch(plan, desk.model_text, specs, out_dir=tmp_path / "out", workers=1)
+    template = elaborate(parse_model(desk.model_text))
+    report = run_batch(plan, template, specs, out_dir=tmp_path / "out", workers=1)
     assert len(report.tasks) == 4
     assert report.task_counts()["PASS"] == 4
     files = write_report(report, tmp_path / "out")
@@ -286,7 +389,8 @@ def test_run_batch_mutant_violates(desk6, tmp_path):
     mutant = generate_vcs_model(VcsConfig.desk(mutant="swapped-fallback-priority"))
     # (comm, ecu) pair: the swapped cascade drives the wrong fallback
     plan = plan_batch(catalog, matrix, specs, (6, 3, 6, 3), bound=70)
-    report = run_batch(plan, mutant.model_text, specs, out_dir=tmp_path / "out", workers=1)
+    template = elaborate(parse_model(mutant.model_text))
+    report = run_batch(plan, template, specs, out_dir=tmp_path / "out", workers=1)
     violated = [s for t in report.tasks for s in t.specs if s.verdict == "VIOLATED"]
     assert violated
     assert report.exit_code() == 1
@@ -303,8 +407,20 @@ def test_empty_plan_report(desk, desk6, tmp_path):
     from fsmcheck.driver.plan import BatchPlan
 
     zero = BatchPlan((), n_axes=6, bound=70)
-    report = run_batch(zero, desk.model_text, specs, out_dir=tmp_path / "out", workers=1)
+    template = elaborate(parse_model(desk.model_text))
+    report = run_batch(zero, template, specs, out_dir=tmp_path / "out", workers=1)
     assert report.tasks == []
     files = write_report(report, tmp_path / "out")
     assert "0 tasks" in files["text"].read_text()
     assert not [d for d in (tmp_path / "out").iterdir() if d.is_dir()]
+
+
+def test_run_batch_rejects_before_dispatch(desk, desk6, tmp_path, monkeypatch):
+    catalog, matrix, specs = desk6
+    plan = plan_batch(catalog, matrix, specs, (1, 1, 2, 2), bound=70)
+    dispatched = []
+    monkeypatch.setattr(runner, "run_unit", dispatched.append)
+    template = elaborate(parse_model(desk.model_text))
+    with pytest.raises(InstantiationError, match="too small"):
+        run_batch(plan, template, specs, out_dir=tmp_path / "out", window=(20, 20))
+    assert dispatched == []

@@ -5,8 +5,8 @@ import pytest
 from fsmcheck.lang import ParseError, parse_model, validate_model
 from fsmcheck.lang.parser import parse_expr_text
 from fsmcheck.ltl import (
-    PastEliminationError, PrefixVerdict, eliminate_past, expand_bounded,
-    format_formula, has_unbounded, holds_on_prefix, parse_ltl,
+    PastEliminationError, PrefixVerdict, eliminate_past, format_formula,
+    has_unbounded, holds_on_prefix, parse_ltl,
 )
 from fsmcheck.ltl import formula as F
 from fsmcheck.semantics import (
@@ -217,32 +217,6 @@ def test_monotonicity_random(ts):
         after = holds_on_prefix(f, full)
         if before is not I:
             assert after is before, f"{text}: {before} flipped to {after}"
-
-
-# --- bounded expansion ------------------------------------------------------
-
-
-def test_expand_trivial_cases(ts):
-    p = parse_ltl("OpModeA", ts)
-    assert expand_bounded(F.FinallyWithin(0, 0, p)) == p
-    g12 = expand_bounded(F.GloballyWithin(1, 2, p))
-    assert g12 == F.Next(F.And(p, F.Next(p)))
-
-
-def test_expand_equivalence_random(ts):
-    rng = random.Random(7)
-    for _ in range(150):
-        lo = rng.randrange(0, 3)
-        hi = lo + rng.randrange(0, 3)
-        kind = rng.choice([F.FinallyWithin, F.GloballyWithin])
-        sub = parse_ltl(rng.choice(["OpModeA", "OpModeB", "OpModeA & OpModeB"]), ts)
-        f = kind(lo, hi, sub)
-        expanded = expand_bounded(f)
-        n = rng.randrange(1, 8)
-        a = [rng.random() < 0.5 for _ in range(n)]
-        b = [rng.random() < 0.5 for _ in range(n)]
-        tr = trace_of(ts, rows(ts, n, OpModeA=a, OpModeB=b))
-        assert holds_on_prefix(f, tr) is holds_on_prefix(expanded, tr), format_formula(f)
 
 
 # --- past elimination -------------------------------------------------------

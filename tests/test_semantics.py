@@ -54,8 +54,6 @@ def test_choice_rule_gives_two_successors():
     (s0,) = initial_states(ts)
     succ = list(successors(ts, s0))
     assert [s["x"] for s in succ] == [True, False]  # listed choice order
-    assert len(ts.choice_points) == 1
-    assert ts.choice_points[0].var == "x"
 
 
 def test_instance_flattening_and_dotted_defines():
