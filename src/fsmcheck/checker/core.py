@@ -13,14 +13,13 @@ repeat.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..ltl import formula as F
 from ..ltl.past import eliminate_past
-from ..semantics.exec import ModelStepError, _ops, initial_states
-from ..semantics.system import FExpr, State, Trace, TransitionSystem
-from ..semantics.exec import _emit as _emit_expr
+from ..semantics.exec import ModelStepError, _emit, initial_states, next_values
+from ..semantics.system import Const, FExpr, State, Trace, TransitionSystem
 
 
 @dataclass(frozen=True)
@@ -189,8 +188,6 @@ class _Obligations:
 
 def _collect_atoms(f: F.Formula, out: dict[FExpr, int]) -> None:
     if isinstance(f, F.Atom):
-        from ..semantics.system import Const
-
         if not isinstance(f.expr, Const):
             out.setdefault(f.expr, len(out))
         return
@@ -199,8 +196,6 @@ def _collect_atoms(f: F.Formula, out: dict[FExpr, int]) -> None:
 
 
 def _nnf(f: F.Formula, neg: bool, ob: _Obligations, atom_ids: dict) -> int:
-    from ..semantics.system import Const
-
     if isinstance(f, F.Atom):
         if isinstance(f.expr, Const):
             value = bool(f.expr.value) != neg
@@ -239,10 +234,10 @@ def _nnf(f: F.Formula, neg: bool, ob: _Obligations, atom_ids: dict) -> int:
     raise TypeError(f"past operator reached the progression engine: {f!r}")
 
 
-def _compile_atoms(ts: TransitionSystem, atoms: list[FExpr]):
+def _compile_atoms(atoms: list[FExpr]):
     if not atoms:
         return lambda s: ()
-    body = ", ".join(f"bool({_emit_expr(a)})" for a in atoms)
+    body = ", ".join(f"bool({_emit(a)})" for a in atoms)
     src = f"def _atoms(s):\n    return ({body},)\n"
     ns: dict = {}
     exec(compile(src, "<atoms>", "exec"), ns)
@@ -256,6 +251,9 @@ def check_bounded(task: CheckTask) -> Verdict:
     verdict, a Counterexample with the earliest possible violation step is
     returned; a counterexample takes precedence over a runtime model error,
     which takes precedence over the bound-limited no-counterexample result.
+    A state whose obligation is decided still steps, without an obligation,
+    until the bound or the first poisoned step, so a model error on any path
+    within the bound is reported.
     """
     budget = TimeoutBudget(task.timeout)
     formula, ts = eliminate_past(task.formula, task.ts)
@@ -264,8 +262,7 @@ def check_bounded(task: CheckTask) -> Verdict:
     atoms = list(atom_ids)
     ob = _Obligations(atoms)
     root = _nnf(formula, False, ob, atom_ids)
-    atom_fn = _compile_atoms(ts, atoms)
-    ops = _ops(ts)
+    atom_fn = _compile_atoms(atoms)
     orig_width = len(task.ts.variables)  # latches appended after these
 
     def project(values_chain: list[tuple]) -> Trace:
@@ -277,6 +274,7 @@ def check_bounded(task: CheckTask) -> Verdict:
 
     # entries: (values, obligation, parent entry or None)
     frontier: dict[tuple, tuple] = {}
+    settled: dict[tuple, None] = {}  # decided states, in insertion order
     try:
         for s in initial_states(ts):
             bits = atom_fn(s.values)
@@ -284,6 +282,7 @@ def check_bounded(task: CheckTask) -> Verdict:
             if res == BOT:
                 return Counterexample(project([s.values]), task.formula, 0)
             if res == TOP:
+                settled[s.values] = None
                 continue
             key = (s.values, res)
             if key not in frontier:
@@ -291,38 +290,21 @@ def check_bounded(task: CheckTask) -> Verdict:
     except ModelStepError as err:
         return ModelError(0, str(err))
 
-    from itertools import product as _product
-
     for depth in range(1, task.bound_k + 1):
-        if not frontier:
+        if not frontier and not settled:
             break
         new_frontier: dict[tuple, tuple] = {}
+        new_settled: dict[tuple, None] = {}
         for entry in frontier.values():
             values, obligation, _parent = entry
             if budget.exceeded():
                 return Timeout(budget.elapsed())
             try:
-                cands = ops.step_all(values)
-                for i, c in enumerate(cands):
-                    v = ts.variables[i]
-                    dom = v.domain
-                    if hasattr(dom, "lo"):
-                        for val in c:
-                            if not (dom.lo <= val <= dom.hi):
-                                raise ModelStepError(v.name, val, v.next)
+                succ_values = next_values(ts, values)
             except ModelStepError as err:
                 if poison is None:
                     poison = (depth, str(err))
                 continue
-            if ops.monitor_fns:
-                succ_values = []
-                from ..semantics.exec import _monitor_step
-
-                for combo in _product(*cands):
-                    mon = _monitor_step(ts, ops, values, list(combo))
-                    succ_values.append(combo + tuple(mon))
-            else:
-                succ_values = list(_product(*cands))
             for nv in succ_values:
                 bits = atom_fn(nv)
                 res = ob.progress(obligation, bits)
@@ -335,11 +317,22 @@ def check_bounded(task: CheckTask) -> Verdict:
                     chain.reverse()
                     return Counterexample(project(chain), task.formula, depth)
                 if res == TOP:
+                    new_settled[nv] = None
                     continue
                 key = (nv, res)
                 if key not in new_frontier:
                     new_frontier[key] = (nv, res, entry)
+        if poison is None:
+            for values in settled:
+                if budget.exceeded():
+                    return Timeout(budget.elapsed())
+                try:
+                    new_settled.update(dict.fromkeys(next_values(ts, values)))
+                except ModelStepError as err:
+                    poison = (depth, str(err))
+                    break
         frontier = new_frontier
+        settled = new_settled if poison is None else {}
 
     if frontier:
         undecided_tail = True

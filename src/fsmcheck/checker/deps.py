@@ -1,7 +1,7 @@
 """Variable-dependency diagnostics (no reduction is applied; report only)."""
 from __future__ import annotations
 
-from ..semantics.system import FExpr, TransitionSystem, VarRef, FBinary, FCase, FChoice, FUnary
+from ..semantics.system import TransitionSystem, collect_refs
 
 
 def dependency_graph(ts: TransitionSystem) -> dict[str, set[str]]:
@@ -14,9 +14,9 @@ def dependency_graph(ts: TransitionSystem) -> dict[str, set[str]]:
     for v in ts.variables:
         reads: set[int] = set()
         if v.next is not None:
-            _refs(v.next, reads)
+            collect_refs(v.next, reads)
         if v.monitor is not None:
-            _refs(v.monitor.expr, reads)
+            collect_refs(v.monitor.expr, reads)
         out[v.name] = {ts.variables[i].name for i in reads}
     return out
 
@@ -28,20 +28,3 @@ def format_dependency_report(ts: TransitionSystem) -> str:
         deps = ", ".join(sorted(graph[name])) or "(none: free or constant)"
         lines.append(f"  {name} <- {deps}")
     return "\n".join(lines)
-
-
-def _refs(e: FExpr, out: set[int]) -> None:
-    if isinstance(e, VarRef):
-        out.add(e.index)
-    elif isinstance(e, FUnary):
-        _refs(e.operand, out)
-    elif isinstance(e, FBinary):
-        _refs(e.left, out)
-        _refs(e.right, out)
-    elif isinstance(e, FCase):
-        for g, r in e.arms:
-            _refs(g, out)
-            _refs(r, out)
-    elif isinstance(e, FChoice):
-        for i in e.items:
-            _refs(i, out)

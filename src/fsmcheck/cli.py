@@ -22,12 +22,13 @@ from .checker import (
     Timeout, check_bounded, format_dependency_report, replay_counterexample,
 )
 from .driver import (
-    instance_system, load_failure_catalog, load_spec_catalog,
+    CatalogError, InstantiationError, MatrixError, PlanRangeError,
+    SpecFileError, instance_system, load_failure_catalog, load_spec_catalog,
     load_target_matrix, parse_spec_file, plan_batch, run_batch, write_report,
 )
 from .driver.catalog import FATAL
 from .lang import ParseError, parse_model, validate_model
-from .ltl import PrefixVerdict, parse_ltl
+from .ltl import PastEliminationError, PrefixVerdict, parse_ltl
 from .semantics import (
     ElaborationError, ModelStepError, elaborate, first_choice,
     seeded_random_chooser, simulate, trace_to_json, trace_to_text,
@@ -40,10 +41,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ElaborationError, ModelStepError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (ParseError, ElaborationError, ModelStepError, FileNotFoundError,
+            InstantiationError, SpecFileError, CatalogError, MatrixError,
+            PlanRangeError, PastEliminationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,17 @@
 """Stepping and evaluation over elaborated systems.
 
+One compiled kernel owns stepping. `_ops` compiles a system's next rules,
+once, into `_step_all`: it returns every model variable's candidate tuple,
+then checks the candidates of each int-range variable that has a next rule
+against its domain. The first out-of-range value, in variable order, raises
+ModelStepError: the step is poisoned, and a poisoned step has no successors.
+next_values (which the checker calls), successors, is_successor and simulate
+all step through this kernel.
+
 Successor enumeration is lexicographic over the ordered variable list with
 set-literal choices in listed order, so every enumerator-based test is
-deterministic. Hot paths run through rule functions compiled to Python
-expressions once per system; eval_expr is the reference tree-walking
-evaluator used by spec atoms and tests.
+deterministic. eval_fexpr and rule_candidates are the reference tree-walking
+evaluators, used for init rules, spec atoms and tests.
 """
 from __future__ import annotations
 
@@ -16,7 +23,7 @@ from ..lang import ast
 from ..lang.parser import parse_expr_text
 from .system import (
     Const, EnumDomain, FBinary, FCase, FChoice, FExpr, FUnary, IntDomain,
-    State, Trace, TransitionSystem, Value, VarDef, VarRef,
+    State, Trace, TransitionSystem, Value, VarDef, VarRef, collect_refs,
 )
 
 
@@ -183,14 +190,22 @@ def _ops(ts: TransitionSystem) -> _Ops:
     if ts._ops is not None:
         return ts._ops
     parts = []
-    for v in ts.variables[: ts.n_model_vars]:
+    checks = []
+    for i, v in enumerate(ts.variables[: ts.n_model_vars]):
         if v.next is None:
             parts.append(repr(v.domain.values()))
-        else:
-            parts.append(_emit_candidates(v.next))
+            continue
+        parts.append(_emit_candidates(v.next))
+        if isinstance(v.domain, IntDomain):
+            checks.append(
+                f"    for x in c[{i}]:\n"
+                f"        if not {v.domain.lo} <= x <= {v.domain.hi}:\n"
+                f"            raise ModelStepError(_vars[{i}].name, x, _vars[{i}].next)\n"
+            )
     body = (",\n        ".join(parts) + ",") if parts else ""
-    src = f"def _step_all(s):\n    return (\n        {body}\n    )\n"
-    ns: dict = {"_uniq": _uniq}
+    src = f"def _step_all(s):\n    c = (\n        {body}\n    )\n{''.join(checks)}    return c\n"
+    # the namespace holds the variables but not ts, so no reference cycle forms
+    ns: dict = {"_uniq": _uniq, "_vars": ts.variables, "ModelStepError": ModelStepError}
     exec(compile(src, f"<step:{ts.source_name}>", "exec"), ns)
     monitor_fns = []
     for v in ts.variables[ts.n_model_vars:]:
@@ -215,7 +230,7 @@ def _init_order(ts: TransitionSystem) -> list[int]:
     for v in ts.variables[:n]:
         need: set[int] = set()
         if v.init is not None:
-            _collect_refs(v.init, need)
+            collect_refs(v.init, need)
         deps.append({d for d in need if d < n})
     order: list[int] = []
     placed = [False] * n
@@ -233,21 +248,16 @@ def _init_order(ts: TransitionSystem) -> list[int]:
     return order
 
 
-def _collect_refs(e: FExpr, out: set[int]) -> None:
-    if isinstance(e, VarRef):
-        out.add(e.index)
-    elif isinstance(e, FUnary):
-        _collect_refs(e.operand, out)
-    elif isinstance(e, FBinary):
-        _collect_refs(e.left, out)
-        _collect_refs(e.right, out)
-    elif isinstance(e, FCase):
-        for g, r in e.arms:
-            _collect_refs(g, out)
-            _collect_refs(r, out)
-    elif isinstance(e, FChoice):
-        for i in e.items:
-            _collect_refs(i, out)
+def _init_candidates(v: VarDef, values: tuple) -> tuple[Value, ...]:
+    """Initial values of v: its domain if it has no init rule, else the
+    rule's candidates on values, each checked against the domain."""
+    if v.init is None:
+        return v.domain.values()
+    cands = rule_candidates(v.init, values)
+    for c in cands:
+        if not v.domain.contains(c):
+            raise ModelStepError(v.name, c, v.init, step=0)
+    return cands
 
 
 def _monitor_init(ts: TransitionSystem, model_values: list) -> list:
@@ -260,7 +270,7 @@ def _monitor_init(ts: TransitionSystem, model_values: list) -> list:
     return full[ts.n_model_vars:]
 
 
-def _monitor_step(ts: TransitionSystem, ops: _Ops, old: tuple, new_model: list) -> list:
+def _monitor_step(ts: TransitionSystem, ops: _Ops, old: tuple, new_model) -> list:
     base = ts.n_model_vars
     new_full = list(new_model)
     for j, (kind, fn) in enumerate(ops.monitor_fns):
@@ -286,15 +296,7 @@ def initial_states(ts: TransitionSystem) -> Iterator[State]:
             yield State(tuple(values) + tuple(monitors), ts)
             return
         i = ops.init_order[pos]
-        v = ts.variables[i]
-        if v.init is None:
-            cands = v.domain.values()
-        else:
-            cands = rule_candidates(v.init, tuple(values))
-            for c in cands:
-                if not v.domain.contains(c):
-                    raise ModelStepError(v.name, c, v.init, step=0)
-        for c in cands:
+        for c in _init_candidates(ts.variables[i], tuple(values)):
             values[i] = c
             yield from expand(pos + 1)
         values[i] = None
@@ -302,52 +304,56 @@ def initial_states(ts: TransitionSystem) -> Iterator[State]:
     yield from expand(0)
 
 
-def successors(ts: TransitionSystem, s: State) -> Iterator[State]:
-    """All one-step successors, in lexicographic candidate order.
+def next_values(ts: TransitionSystem, values: tuple) -> Iterator[tuple]:
+    """Value tuples of all one-step successors, in lexicographic candidate
+    order, with the monitor values appended.
 
-    Raises ModelStepError when a rule produces an out-of-range value on this
-    state: the step is poisoned for every refinement of the choices.
+    Raises ModelStepError at the call, before anything is yielded, when the
+    step from values is poisoned.
     """
     ops = _ops(ts)
-    cands = ops.step_all(s.values)
-    for i, c in enumerate(cands):
-        v = ts.variables[i]
-        dom = v.domain
-        if isinstance(dom, IntDomain):
-            for value in c:
-                if not (dom.lo <= value <= dom.hi):
-                    raise ModelStepError(v.name, value, v.next)
+    cands = ops.step_all(values)
     if not ops.monitor_fns:
-        for combo in itertools.product(*cands):
-            yield State(combo, ts)
-    else:
-        for combo in itertools.product(*cands):
-            monitors = _monitor_step(ts, ops, s.values, list(combo))
-            yield State(combo + tuple(monitors), ts)
+        return itertools.product(*cands)
+    return (combo + tuple(_monitor_step(ts, ops, values, combo))
+            for combo in itertools.product(*cands))
+
+
+def successors(ts: TransitionSystem, s: State) -> Iterator[State]:
+    """All one-step successors of s as States; see next_values."""
+    return (State(values, ts) for values in next_values(ts, s.values))
 
 
 def is_successor(ts: TransitionSystem, s: State, t: State) -> bool:
-    """Transition-relation membership without enumerating the product."""
+    """Transition-relation membership without enumerating the product.
+
+    A poisoned step has no successors, so nothing follows s then.
+    """
     ops = _ops(ts)
-    cands = ops.step_all(s.values)
+    try:
+        cands = ops.step_all(s.values)
+    except ModelStepError:
+        return False
     for i, c in enumerate(cands):
         if t.values[i] not in c:
             return False
     if ops.monitor_fns:
-        monitors = _monitor_step(ts, ops, s.values, list(t.values[: ts.n_model_vars]))
+        monitors = _monitor_step(ts, ops, s.values, t.values[: ts.n_model_vars])
         if tuple(monitors) != t.values[ts.n_model_vars:]:
             return False
     return True
 
 
 def satisfies_init(ts: TransitionSystem, s: State) -> bool:
+    """Init-rule membership; an init rule with an out-of-range candidate
+    admits no initial state, as in initial_states."""
     ops = _ops(ts)
     for i in ops.init_order:
         v = ts.variables[i]
-        if v.init is None:
-            if not v.domain.contains(s.values[i]):
+        try:
+            if s.values[i] not in _init_candidates(v, s.values):
                 return False
-        elif s.values[i] not in rule_candidates(v.init, s.values):
+        except ModelStepError:
             return False
     monitors = _monitor_init(ts, list(s.values[: ts.n_model_vars]))
     return tuple(monitors) == s.values[ts.n_model_vars:]
@@ -405,27 +411,17 @@ def simulate(ts: TransitionSystem, steps: int, chooser: Chooser = first_choice) 
     values: list = [None] * n
     for i in ops.init_order:
         v = ts.variables[i]
-        if v.init is None:
-            cands = v.domain.values()
-        else:
-            cands = rule_candidates(v.init, tuple(values))
-            for c in cands:
-                if not v.domain.contains(c):
-                    raise ModelStepError(v.name, c, v.init, step=0)
+        cands = _init_candidates(v, tuple(values))
         values[i] = chooser(0, v.name, cands) if len(cands) > 1 else cands[0]
     current = tuple(values) + tuple(_monitor_init(ts, values))
     states = [State(current, ts)]
     for step in range(1, steps + 1):
-        cands = ops.step_all(current)
-        new_model: list = []
-        for i, c in enumerate(cands):
-            v = ts.variables[i]
-            dom = v.domain
-            if isinstance(dom, IntDomain):
-                for value in c:
-                    if not (dom.lo <= value <= dom.hi):
-                        raise ModelStepError(v.name, value, v.next, step=step)
-            new_model.append(chooser(step, v.name, c) if len(c) > 1 else c[0])
+        try:
+            cands = ops.step_all(current)
+        except ModelStepError as err:
+            raise err.with_step(step) from None
+        new_model = [chooser(step, v.name, c) if len(c) > 1 else c[0]
+                     for v, c in zip(ts.variables, cands)]
         monitors = _monitor_step(ts, ops, current, new_model)
         current = tuple(new_model) + tuple(monitors)
         states.append(State(current, ts))

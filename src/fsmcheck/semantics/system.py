@@ -122,6 +122,24 @@ def format_fexpr(e: FExpr) -> str:
     raise TypeError(f"unknown flat expression {e!r}")
 
 
+def collect_refs(e: FExpr, out: set[int]) -> None:
+    """Add the index of every variable that e reads to out."""
+    if isinstance(e, VarRef):
+        out.add(e.index)
+    elif isinstance(e, FUnary):
+        collect_refs(e.operand, out)
+    elif isinstance(e, FBinary):
+        collect_refs(e.left, out)
+        collect_refs(e.right, out)
+    elif isinstance(e, FCase):
+        for g, r in e.arms:
+            collect_refs(g, out)
+            collect_refs(r, out)
+    elif isinstance(e, FChoice):
+        for i in e.items:
+            collect_refs(i, out)
+
+
 # --- monitor rules (added by past-operator elimination) -------------------
 
 

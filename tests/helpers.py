@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 from fsmcheck.lang import ast
+from fsmcheck.semantics import IntDomain
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -180,3 +181,48 @@ def random_past_formula(rng: random.Random, names: list[str], depth: int) -> str
         return f"({past}) & X ({other})"
     second = f"{rng.choice(['O', 'H'])} ({random_bool_expr(rng, names, 1)})"
     return f"!(({past}) & ({second}))"
+
+
+def random_int_model(rng: random.Random) -> str:
+    """Model source with small int-range variables whose next rules can leave
+    their range, sometimes inside a {...} choice, plus free booleans. At most
+    two ints and one boolean keep path enumeration small for the oracle."""
+    n_ints = rng.randrange(1, 3)
+    n_bools = rng.randrange(0, 2)
+    ints = [f"n{i}" for i in range(n_ints)]
+    his = [rng.randrange(1, 4) for _ in ints]
+    lines = ["MODULE main", "VAR"]
+    for n, hi in zip(ints, his):
+        lines.append(f"  {n} : 0..{hi};")
+    for j in range(n_bools):
+        lines.append(f"  b{j} : boolean;")
+    lines.append("ASSIGN")
+    for n, hi in zip(ints, his):
+        pick = rng.randrange(3)
+        if pick == 0:
+            lines.append(f"  init({n}) := {rng.randrange(0, hi + 1)};")
+        elif pick == 1:
+            lines.append(f"  init({n}) := {{0, {hi}}};")
+        other = rng.choice(ints)
+        step = rng.choice([f"{other} + 1", f"{n} - 1", f"{n} + {other}"])
+        rules = [
+            step,
+            f"{{{step}, 0}}",
+            f"{{{n}, {step}}}",
+            f"case {n} >= {hi} : 0; TRUE : {n} + 1; esac",
+        ]
+        if n_bools:
+            rules.append(f"case b{rng.randrange(n_bools)} : {step}; TRUE : {n}; esac")
+        lines.append(f"  next({n}) := {rng.choice(rules)};")
+    return "\n".join(lines) + "\n"
+
+
+def int_model_atoms(ts) -> list[str]:
+    """Atoms `(n < c)` over the int variables of a system, and its booleans."""
+    atoms = []
+    for v in ts.variables:
+        if isinstance(v.domain, IntDomain):
+            atoms.extend(f"({v.name} < {c})" for c in range(v.domain.lo + 1, v.domain.hi + 1))
+        else:
+            atoms.append(v.name)
+    return atoms

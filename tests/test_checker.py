@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsmcheck.checker import (
     CapExceeded, CheckTask, Counterexample, InvalidTrace, ModelError,
@@ -11,7 +12,9 @@ from fsmcheck.lang import parse_model, validate_model
 from fsmcheck.ltl import PrefixVerdict, parse_ltl
 from fsmcheck.semantics import State, Trace, elaborate
 
-from helpers import random_bool_model, random_future_formula
+from helpers import (
+    int_model_atoms, random_bool_model, random_future_formula, random_int_model,
+)
 
 COUNTER = """
 MODULE main
@@ -208,3 +211,39 @@ def test_oracle_equivalence_quick():
             assert fast.all_paths_decided == slow.all_paths_decided, f"case {i}: {text}"
         agree += 1
     assert agree == 60
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_oracle_equivalence_int_domains(seed):
+    rng = random.Random(seed)
+    src = random_int_model(rng)
+    ts = build(src)
+    text = random_future_formula(rng, int_model_atoms(ts), rng.randrange(1, 4))
+    f = parse_ltl(text, ts)
+    task = CheckTask(ts, f, bound_k=rng.randrange(0, 4))
+    fast = check_bounded(task)
+    slow = brute_force_check(task)
+    case = f"{text}, k={task.bound_k}\n{src}\n{fast} vs {slow}"
+    assert type(fast) is type(slow), case
+    if isinstance(fast, Counterexample):
+        assert fast.violation_step == slow.violation_step, case
+        assert replay_counterexample(ts, fast.trace, f) is PrefixVerdict.VIOLATED
+    if isinstance(fast, NoCounterexampleWithinBound):
+        assert fast.all_paths_decided == slow.all_paths_decided, case
+    if isinstance(fast, ModelError):
+        assert fast.step == slow.step, case
+
+
+def test_replay_rejects_poisoned_step():
+    src = """
+MODULE main
+VAR t : 0..2;
+ASSIGN
+  init(t) := 0;
+  next(t) := {t + 1, 0};
+"""
+    ts = build(src)
+    trace = Trace(tuple(State((t,), ts) for t in (0, 1, 2, 0)))
+    with pytest.raises(InvalidTrace):
+        replay_counterexample(ts, trace, parse_ltl("G t < 2", ts))

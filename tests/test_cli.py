@@ -147,3 +147,23 @@ def test_check_rejects_bad_model(tmp_path, capsys):
     bad.write_text("MODULE main VAR x : ;")
     code = main(["check", str(bad), "--formula", "TRUE"])
     assert code == 2
+
+
+def test_input_errors_exit_two_without_traceback(bundle_dir, tmp_path, capsys):
+    batch = [
+        "batch",
+        "--template", str(bundle_dir / "vcs.fsm"),
+        "--failures", str(bundle_dir / "failures.csv"),
+        "--matrix", str(bundle_dir / "target_modes.csv"),
+        "--specs", str(bundle_dir / "specs.ltl"),
+        "--out", str(tmp_path / "out"),
+    ]
+    for argv in (
+        batch + ["--range", "1", "2", "1", "2", "--window", "20", "20"],  # InstantiationError
+        batch + ["--range", "99", "1", "99", "1"],  # PlanRangeError
+        ["check", str(bundle_dir / "vcs.fsm"), "--formula", "O (F Step > 3)"],  # PastEliminationError
+    ):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert any(line.startswith("error: ") for line in err.splitlines()), (argv, err)

@@ -1,16 +1,18 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsmcheck.lang import parse_model, validate_model
 from fsmcheck.semantics import (
-    ElaborationError, IntDomain, ModelStepError, elaborate, eval_expr,
-    first_choice, initial_states, parse_state_expr, scripted_chooser,
-    seeded_random_chooser, simulate, successors, trace_from_json,
+    ElaborationError, IntDomain, ModelStepError, State, elaborate, eval_expr,
+    first_choice, initial_states, parse_state_expr, rule_candidates,
+    scripted_chooser, seeded_random_chooser, simulate, successors, trace_from_json,
     trace_from_text, trace_to_json, trace_to_text,
 )
 
-from helpers import fixture_text
+from helpers import fixture_text, random_int_model
 
 
 def build(src):
@@ -347,3 +349,34 @@ VAR
     ts = build(src)
     trace = simulate(ts, 1)
     assert trace[1]["e.S_ECU1"] == "Passive"
+
+
+def _reference_step(ts, values):
+    """Successor value tuples by the tree-walker, or ("poison", var, value)
+    for the first out-of-range next value in variable order."""
+    cands = [v.domain.values() if v.next is None else rule_candidates(v.next, values)
+             for v in ts.variables]
+    for v, c in zip(ts.variables, cands):
+        for x in c:
+            if v.next is not None and not v.domain.contains(x):
+                return ("poison", v.name, x)
+    return list(itertools.product(*cands))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_kernel_matches_tree_walker(seed):
+    ts = build(random_int_model(random.Random(seed)))
+    layer = list(dict.fromkeys(s.values for s in initial_states(ts)))
+    for _depth in range(4):  # every state reachable within 3 steps
+        reached = []
+        for values in layer:
+            expected = _reference_step(ts, values)
+            try:
+                got = [t.values for t in successors(ts, State(values, ts))]
+            except ModelStepError as err:
+                got = ("poison", err.var, err.value)
+            assert got == expected, values
+            if isinstance(got, list):
+                reached.extend(got)
+        layer = list(dict.fromkeys(reached))
