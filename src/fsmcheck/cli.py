@@ -6,7 +6,7 @@
                        [--bound K] [--timeout SECS] [--window LO HI] [--out DIR]
     fsmcheck check     MODEL (--prop NAME --specs FILE | --formula TEXT)
                        [--bound K] [--timeout SECS] [--trace-out FILE] [--print-deps]
-    fsmcheck simulate  MODEL --steps N [--seed S] [--json]
+    fsmcheck simulate  MODEL --steps N [--seed S]
 
 Exit codes: 0 all passed, 1 a violation was found, 2 errors, timeouts, or
 nothing decidable.
@@ -31,7 +31,7 @@ from .lang import ParseError, parse_model, validate_model
 from .ltl import PastEliminationError, PrefixVerdict, parse_ltl
 from .semantics import (
     ElaborationError, ModelStepError, elaborate, first_choice,
-    seeded_random_chooser, simulate, trace_to_json, trace_to_text,
+    seeded_random_chooser, simulate, trace_to_text,
 )
 from .vcs import VcsConfig, generate_vcs_model
 
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--singles", action="store_true")
     sel.add_argument("--full", action="store_true")
     batch.add_argument("--workers", type=int, default=1)
-    batch.add_argument("--bound", type=int, default=70)
+    batch.add_argument("--bound", type=_non_negative_int, default=70)
     batch.add_argument("--timeout", type=float, default=900.0,
                        help="wall-clock budget per (combination, spec) unit")
     batch.add_argument("--window", nargs=2, type=int, default=(15, 40),
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--prop", help="spec name from --specs")
     check.add_argument("--specs", help="spec catalog file for --prop")
     check.add_argument("--formula", help="literal spec text")
-    check.add_argument("--bound", type=int, default=70)
+    check.add_argument("--bound", type=_non_negative_int, default=70)
     check.add_argument("--timeout", type=float, default=None)
     check.add_argument("--trace-out", default=None)
     check.add_argument("--print-deps", action="store_true",
@@ -95,12 +95,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="simulate a model")
     sim.add_argument("model")
-    sim.add_argument("--steps", type=int, required=True)
+    sim.add_argument("--steps", type=_non_negative_int, required=True)
     sim.add_argument("--seed", type=int, default=None,
                      help="seeded-random choice policy (default: first-listed)")
-    sim.add_argument("--json", action="store_true")
     sim.set_defaults(func=cmd_simulate)
     return parser
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _load_system(path):
@@ -109,8 +115,8 @@ def _load_system(path):
     if errors:
         for d in errors:
             print(f"error: {path}: {d}", file=sys.stderr)
-        return None, None
-    return model, elaborate(model, source_name=str(path))
+        return None
+    return elaborate(model, source_name=str(path))
 
 
 def cmd_gen_vcs(args) -> int:
@@ -129,7 +135,7 @@ def cmd_gen_vcs(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    _, ts = _load_system(args.template)
+    ts = _load_system(args.template)
     if ts is None:
         return 2
     catalog = load_failure_catalog(args.failures)
@@ -155,7 +161,7 @@ def cmd_batch(args) -> int:
         "WINDOW_LO": str(window[0]),
         "WINDOW_HI": str(window[1]),
     }
-    specs = load_spec_catalog(args.specs, probe_ts, subst)
+    specs = load_spec_catalog(structural, probe_ts, subst)
     for warning in specs.warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
@@ -188,7 +194,7 @@ def _probe_mode(matrix) -> str:
 
 
 def cmd_check(args) -> int:
-    model, ts = _load_system(args.model)
+    ts = _load_system(args.model)
     if ts is None:
         return 2
     if args.print_deps:
@@ -239,7 +245,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model, ts = _load_system(args.model)
+    ts = _load_system(args.model)
     if ts is None:
         return 2
     chooser = first_choice if args.seed is None else seeded_random_chooser(args.seed)
@@ -248,7 +254,7 @@ def cmd_simulate(args) -> int:
     except ModelStepError as err:
         print(f"MODEL ERROR: {err}", file=sys.stderr)
         return 2
-    print(trace_to_json(trace) if args.json else trace_to_text(trace), end="")
+    print(trace_to_text(trace), end="")
     return 0
 
 

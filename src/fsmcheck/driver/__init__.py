@@ -8,7 +8,7 @@ from .inject import (
 )
 from .plan import BatchPlan, PlannedTask, PlanRangeError, plan_batch
 from .report import format_report_text, report_to_obj, write_report
-from .runner import BatchReport, SpecResult, TaskResult, run_batch, run_unit
+from .runner import BatchReport, SpecResult, TaskResult, run_batch
 from .specs import (
     SpecCatalog, SpecEntry, SpecFileError, load_spec_catalog, parse_spec_file,
 )
@@ -21,6 +21,6 @@ __all__ = [
     "BatchPlan", "PlannedTask", "PlanRangeError", "plan_batch",
     "ModelInstance", "instantiate_model", "instance_system",
     "injection_assertions", "InstantiationError",
-    "BatchReport", "TaskResult", "SpecResult", "run_batch", "run_unit",
+    "BatchReport", "TaskResult", "SpecResult", "run_batch",
     "write_report", "report_to_obj", "format_report_text",
 ]

@@ -49,7 +49,6 @@ class ModelInstance:
     task: PlannedTask
     source: str
     specs: tuple[tuple[str, str], ...]       # (name, substituted formula)
-    assertions: tuple[tuple[str, str], ...]  # injection soundness checks
     window: tuple[int, int]
 
 
@@ -106,7 +105,6 @@ def instantiate_model(
         task=task,
         source=source,
         specs=spec_texts,
-        assertions=tuple(injection_assertions(task, window)),
         window=window,
     )
 
@@ -196,7 +194,6 @@ def instance_system(
     return TransitionSystem(
         tuple(variables),
         defines=template.defines,
-        step_duration_ms=template.step_duration_ms,
         source_name=template.source_name,
     )
 

@@ -2,19 +2,21 @@
 
 The unit of parallelism is one (combination, spec) pair. The coordinator
 builds no instance: it checks that every task can be injected, substitutes
-each task's spec formulas, and hands the units to W workers. The elaborated
-template goes to each worker once, through the pool initializer (in-process
-when W is 1), and a worker builds the instance system of each unit it runs
-from it. Results merge in deterministic (row, col, spec) order, so report
-content is a pure function of the inputs and never of worker scheduling.
-Workers render counterexample traces with `traceio`; the coordinator files
-them, one directory per combination.
+each task's spec formulas, and hands the units to W workers, one call per
+unit, in report order (tasks by (row, col), specs in catalog order). The
+elaborated template goes to each worker once, through the pool initializer
+(in-process when W is 1), and a worker builds the instance system of each
+unit it runs from it. A worker returns a `SpecResult` and the counterexample
+trace as text; no unit id travels. The coordinator takes the results back in
+dispatch order, each task taking as many as it has specs, so report content
+is a pure function of the inputs and never of worker scheduling. It files
+the traces, one directory per combination.
 """
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -25,7 +27,7 @@ from ..checker import (
 from ..ltl import PrefixVerdict, parse_ltl
 from ..semantics import TransitionSystem, trace_to_text
 from .inject import check_injection, instance_system, spec_formulas
-from .plan import BatchPlan
+from .plan import BatchPlan, PlannedTask
 from .specs import SpecCatalog
 
 VERDICTS = ("PASS", "VIOLATED", "INCONCLUSIVE", "TIMEOUT", "ERROR")
@@ -106,44 +108,34 @@ def _init_worker(template: TransitionSystem) -> None:
     _template = template
 
 
-def run_unit(payload: dict) -> dict:
-    """Check one (combination, spec) unit; never raises."""
+def check_unit(task: PlannedTask, name: str, formula: str, window: tuple[int, int],
+               bound: int, timeout: Optional[float]) -> tuple[SpecResult, Optional[str]]:
+    """Check one (combination, spec) unit; never raises. Returns the result
+    and the counterexample trace as text, if any; the coordinator files the
+    trace and fills in `trace_path`."""
     started = time.perf_counter()
-    out = {
-        "row": payload["row"],
-        "col": payload["col"],
-        "spec_index": payload["spec_index"],
-        "spec_name": payload["spec_name"],
-        "verdict": "ERROR",
-        "violation_step": None,
-        "detail": "",
-        "trace": None,
-    }
+    verdict, step, detail, trace = "ERROR", None, "", None
     try:
-        ts = instance_system(_template, payload["task"], payload["window"])
-        formula = parse_ltl(payload["formula"], ts)
-        verdict = check_bounded(
-            CheckTask(ts, formula, bound_k=payload["bound"], timeout=payload["timeout"])
-        )
-        if isinstance(verdict, Counterexample):
-            replayed = replay_counterexample(ts, verdict.trace, formula)
+        ts = instance_system(_template, task, window)
+        spec = parse_ltl(formula, ts)
+        found = check_bounded(CheckTask(ts, spec, bound_k=bound, timeout=timeout))
+        if isinstance(found, Counterexample):
+            replayed = replay_counterexample(ts, found.trace, spec)
             if replayed is not PrefixVerdict.VIOLATED:
-                out["detail"] = f"counterexample failed replay: {replayed.value}"
+                detail = f"counterexample failed replay: {replayed.value}"
             else:
-                out["verdict"] = "VIOLATED"
-                out["violation_step"] = verdict.violation_step
-                out["trace"] = trace_to_text(verdict.trace)
-        elif isinstance(verdict, NoCounterexampleWithinBound):
-            out["verdict"] = "PASS" if verdict.all_paths_decided else "INCONCLUSIVE"
-        elif isinstance(verdict, Timeout):
-            out["verdict"] = "TIMEOUT"
-            out["detail"] = f"budget exhausted after {verdict.elapsed:.2f}s"
-        elif isinstance(verdict, ModelError):
-            out["detail"] = f"model error at step {verdict.step}: {verdict.detail}"
+                verdict, step = "VIOLATED", found.violation_step
+                trace = trace_to_text(found.trace)
+        elif isinstance(found, NoCounterexampleWithinBound):
+            verdict = "PASS" if found.all_paths_decided else "INCONCLUSIVE"
+        elif isinstance(found, Timeout):
+            verdict, detail = "TIMEOUT", f"budget exhausted after {found.elapsed:.2f}s"
+        elif isinstance(found, ModelError):
+            detail = f"model error at step {found.step}: {found.detail}"
     except Exception as err:  # worker crash -> ERROR verdict, batch continues
-        out["detail"] = f"{type(err).__name__}: {err}"
-    out["elapsed"] = time.perf_counter() - started
-    return out
+        detail = f"{type(err).__name__}: {err}"
+    elapsed = time.perf_counter() - started
+    return SpecResult(name, verdict, step, detail=detail, elapsed=elapsed), trace
 
 
 # --- coordinator --------------------------------------------------------------
@@ -165,77 +157,48 @@ def run_batch(
     started = time.perf_counter()
     k = bound if bound is not None else plan.bound
 
-    payloads = []
-    for task in plan.tasks:
+    tasks = sorted(plan.tasks, key=lambda t: t.sort_key)
+    units = []
+    for task in tasks:
         check_injection(template, task, window)
-        for spec_index, (name, formula) in enumerate(
-                spec_formulas(task, window, spec_catalog)):
-            payloads.append({
-                "row": task.row,
-                "col": task.col,
-                "spec_index": spec_index,
-                "spec_name": name,
-                "task": task,
-                "window": window,
-                "formula": formula,
-                "bound": k,
-                "timeout": timeout,
-            })
+        units += [(task, name, formula, window, k, timeout)
+                  for name, formula in spec_formulas(task, window, spec_catalog)]
 
     if workers <= 1:
         _init_worker(template)
-        results = [run_unit(p) for p in payloads]
+        results = [check_unit(*unit) for unit in units]
     else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(template,)) as pool:
-            futures = [pool.submit(run_unit, p) for p in payloads]
+            futures = [pool.submit(check_unit, *unit) for unit in units]
             results = []
-            for payload, fut in zip(payloads, futures):
+            for (_, name, *_), fut in zip(units, futures):
                 try:
                     results.append(fut.result())
                 except Exception as err:  # hard worker crash
-                    results.append({
-                        "row": payload["row"], "col": payload["col"],
-                        "spec_index": payload["spec_index"],
-                        "spec_name": payload["spec_name"],
-                        "verdict": "ERROR", "violation_step": None,
-                        "detail": f"worker crashed: {type(err).__name__}: {err}",
-                        "trace": None, "elapsed": 0.0,
-                    })
+                    results.append((SpecResult(
+                        name, "ERROR", detail=f"worker crashed: {type(err).__name__}: {err}",
+                    ), None))
 
-    results.sort(key=lambda r: (r["row"], r["col"], r["spec_index"]))
-    grouped: dict[tuple[int, int], list[dict]] = {}
-    for r in results:
-        grouped.setdefault((r["row"], r["col"]), []).append(r)
-
+    merged = iter(results)
     task_results = []
-    for task in sorted(plan.tasks, key=lambda t: t.sort_key):
-        units = grouped.get((task.row, task.col), [])
-        spec_results = []
-        for u in units:
-            trace_path = None
-            if u["trace"] is not None:
-                path = out / task.model_id / f"{u['spec_name']}.trace"
+    for task in tasks:
+        specs = []
+        for _ in task.specs:
+            result, trace = next(merged)
+            if trace is not None:
+                path = out / task.model_id / f"{result.name}.trace"
                 path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(u["trace"])
-                trace_path = str(path.relative_to(out))
-            spec_results.append(SpecResult(
-                name=u["spec_name"],
-                verdict=u["verdict"],
-                violation_step=u["violation_step"],
-                trace_path=trace_path,
-                detail=u["detail"],
-                elapsed=u["elapsed"],
-            ))
+                path.write_text(trace)
+                result = replace(result, trace_path=str(path.relative_to(out)))
+            specs.append(result)
         task_results.append(TaskResult(
             row=task.row, col=task.col, scenario=task.scenario,
             model_id=task.model_id, target=task.target, fatal=task.fatal,
-            specs=tuple(spec_results),
-            wall_time=sum(s.elapsed for s in spec_results),
+            specs=tuple(specs), wall_time=sum(s.elapsed for s in specs),
         ))
 
-    report = BatchReport(
+    return BatchReport(
         tasks=task_results, n_axes=plan.n_axes, bound=k, workers=workers,
         window=window, total_elapsed=time.perf_counter() - started,
     )
-    return report

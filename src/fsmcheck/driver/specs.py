@@ -145,16 +145,16 @@ def parse_spec_file(path) -> SpecCatalog:
     return SpecCatalog(tuple(entries))
 
 
-def load_spec_catalog(path, probe_ts: TransitionSystem,
+def load_spec_catalog(catalog: SpecCatalog, probe_ts: TransitionSystem,
                       probe_substitutions: dict[str, str]) -> SpecCatalog:
-    """Parse the file and check every spec against a probe instance.
+    """Check every spec of a parsed catalog against a probe instance.
 
     probe_ts must be an elaborated model instance in which the probe
     combination is injected, so `<var>_occurred` atoms resolve. Specs with
     unbounded temporal obligations load with a warning: the bounded checker
     can never decide them positively on loop-free prefixes.
     """
-    catalog = parse_spec_file(path)
+    warnings = []
     for entry in catalog.entries:
         text = entry.instantiate(probe_substitutions)
         try:
@@ -162,8 +162,8 @@ def load_spec_catalog(path, probe_ts: TransitionSystem,
         except ParseError as err:
             raise SpecFileError(f"spec {entry.name!r}: {err}")
         if has_unbounded(f):
-            catalog.warnings.append(
+            warnings.append(
                 f"spec {entry.name!r} has an unbounded F/G/U/R obligation; "
                 "bounded checking may stay inconclusive (use F[a,b]/G[a,b])"
             )
-    return catalog
+    return SpecCatalog(catalog.entries, warnings)

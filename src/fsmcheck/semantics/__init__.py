@@ -10,10 +10,7 @@ from .system import (
     FExpr, FUnary, IntDomain, MonitorRule, State, Trace, TransitionSystem,
     Value, VarDef, VarRef, format_fexpr,
 )
-from .traceio import (
-    TraceFormatError, trace_from_json, trace_from_text, trace_to_json,
-    trace_to_obj, trace_to_text,
-)
+from .traceio import TraceFormatError, trace_from_text, trace_to_text
 
 __all__ = [
     "elaborate", "ElaborationError",
@@ -25,6 +22,5 @@ __all__ = [
     "BoolDomain", "EnumDomain", "IntDomain",
     "FExpr", "Const", "FUnary", "FBinary", "FCase", "FChoice", "format_fexpr",
     "Value",
-    "trace_to_text", "trace_from_text", "trace_to_json", "trace_from_json",
-    "trace_to_obj", "TraceFormatError",
+    "trace_to_text", "trace_from_text", "TraceFormatError",
 ]

@@ -176,12 +176,10 @@ class TransitionSystem:
         self,
         variables: tuple[VarDef, ...],
         defines: Optional[dict[str, FExpr]] = None,
-        step_duration_ms: int = 10,
         source_name: str = "<model>",
     ):
         self.variables = variables
         self.defines = dict(defines or {})
-        self.step_duration_ms = step_duration_ms
         self.source_name = source_name
         self.index = {v.name: i for i, v in enumerate(variables)}
         if len(self.index) != len(variables):
@@ -209,7 +207,6 @@ class TransitionSystem:
         return TransitionSystem(
             self.variables + monitors,
             defines=self.defines,
-            step_duration_ms=self.step_duration_ms,
             source_name=self.source_name,
         )
 

@@ -1,14 +1,11 @@
 """Trace serialization.
 
-Two stable formats:
-
-* text — one block per step: a ``step <i>`` line followed by ``name = value``
-  lines sorted by qualified name, blocks separated by blank lines;
-* json — a single document with a steps array, for machine use.
+One stable text format: one block per step, a ``step <i>`` line followed by
+``name = value`` lines sorted by qualified name, blocks separated by blank
+lines.
 """
 from __future__ import annotations
 
-import json
 from typing import Optional
 
 from .system import (
@@ -81,46 +78,6 @@ def trace_from_text(text: str, ts: TransitionSystem) -> Trace:
             raise TraceFormatError(f"unknown variable {name!r}")
         current[name] = _parse_value(value, ts.var(name).domain)
     flush()
-    if not states:
-        raise TraceFormatError("trace has no steps")
-    return Trace(tuple(states))
-
-
-def trace_to_obj(trace: Trace) -> dict:
-    sys = trace.states[0].system
-    return {
-        "format": "fsmcheck-trace",
-        "version": 1,
-        "step_duration_ms": sys.step_duration_ms,
-        "steps": [
-            {"step": i, "values": {n: s[n] for n in sorted(s.system.index)}}
-            for i, s in enumerate(trace.states)
-        ],
-    }
-
-
-def trace_to_json(trace: Trace) -> str:
-    return json.dumps(trace_to_obj(trace), indent=2, sort_keys=True) + "\n"
-
-
-def trace_from_json(text: str, ts: TransitionSystem) -> Trace:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise TraceFormatError(f"bad json: {err}")
-    if obj.get("format") != "fsmcheck-trace":
-        raise TraceFormatError("not an fsmcheck trace document")
-    states = []
-    for entry in obj["steps"]:
-        vals = entry["values"]
-        try:
-            values = tuple(vals[v.name] for v in ts.variables)
-        except KeyError as err:
-            raise TraceFormatError(f"step missing variable {err}")
-        for v, value in zip(ts.variables, values):
-            if not v.domain.contains(value):
-                raise TraceFormatError(f"{value!r} not in domain of {v.name!r}")
-        states.append(State(values, ts))
     if not states:
         raise TraceFormatError("trace has no steps")
     return Trace(tuple(states))

@@ -4,6 +4,9 @@ from pathlib import Path
 import pytest
 
 from fsmcheck.cli import main
+from fsmcheck.driver import (
+    load_failure_catalog, load_target_matrix, parse_spec_file, plan_batch,
+)
 from fsmcheck.vcs import VcsConfig, generate_vcs_model
 
 
@@ -28,12 +31,11 @@ def test_simulate_cli(bundle_dir, capsys):
 
 
 def test_simulate_seeded(bundle_dir, capsys):
-    code = main(["simulate", str(bundle_dir / "vcs.fsm"), "--steps", "3", "--seed", "9", "--json"])
+    code = main(["simulate", str(bundle_dir / "vcs.fsm"), "--steps", "3", "--seed", "9"])
     out = capsys.readouterr().out
     assert code == 0
-    obj = json.loads(out)
-    assert obj["format"] == "fsmcheck-trace"
-    assert len(obj["steps"]) == 4
+    assert [line for line in out.splitlines() if line.startswith("step ")] == [
+        "step 0", "step 1", "step 2", "step 3"]
 
 
 def test_check_pass_and_exit_codes(bundle_dir, capsys):
@@ -118,28 +120,52 @@ def _without_timing(obj):
     return obj
 
 
-def test_batch_report_and_traces_independent_of_workers(tmp_path):
+def test_batch_report_and_traces_independent_of_workers(bundle_dir, tmp_path):
     mutant_dir = tmp_path / "mutant"
     assert main(["gen-vcs", "--out", str(mutant_dir), "--desk",
                  "--mutant", "swapped-fallback-priority"]) == 0
-    reports, traces = [], []
-    for workers in ("1", "2"):
-        out_dir = tmp_path / f"out{workers}"
-        code = main([
-            "batch",
-            "--template", str(mutant_dir / "vcs.fsm"),
-            "--failures", str(mutant_dir / "failures.csv"),
-            "--matrix", str(mutant_dir / "target_modes.csv"),
-            "--specs", str(mutant_dir / "specs.ltl"),
-            "--range", "8", "3", "8", "4",
-            "--workers", workers, "--out", str(out_dir),
-        ])
-        assert code == 1
-        reports.append(_without_timing(json.loads((out_dir / "report.json").read_text())))
-        traces.append({str(f.relative_to(out_dir)): f.read_bytes()
-                       for f in sorted(out_dir.rglob("*.trace"))})
-    assert reports[0] == reports[1]
-    assert traces[0] and traces[0] == traces[1]
+    # the mutant pairs violate and file traces; desk 1 1 2 2 mixes diagonal
+    # singles (6 specs) with FATAL pairs (4 specs)
+    for bundle, cell_range, want_code in ((mutant_dir, "8 3 8 4", 1),
+                                          (bundle_dir, "1 1 2 2", 0)):
+        catalog = load_failure_catalog(bundle / "failures.csv")
+        plan = plan_batch(catalog, load_target_matrix(bundle / "target_modes.csv", catalog),
+                          parse_spec_file(bundle / "specs.ltl"),
+                          tuple(map(int, cell_range.split())))
+        planned = [(t.model_id, list(t.specs)) for t in plan.tasks]
+        latches = {t.model_id: {f"{a.variable}_occurred" for a in (t.axis_a, t.axis_b) if a}
+                   for t in plan.tasks}
+        reports, traces = [], []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"{bundle.name}{workers}"
+            code = main([
+                "batch",
+                "--template", str(bundle / "vcs.fsm"),
+                "--failures", str(bundle / "failures.csv"),
+                "--matrix", str(bundle / "target_modes.csv"),
+                "--specs", str(bundle / "specs.ltl"),
+                "--range", *cell_range.split(),
+                "--workers", workers, "--out", str(out_dir),
+            ])
+            assert code == want_code
+            report = json.loads((out_dir / "report.json").read_text())
+            assert [(t["model_id"], [s["name"] for s in t["specs"]])
+                    for t in report["tasks"]] == planned
+            for t in report["tasks"]:
+                for s in t["specs"]:
+                    assert s["trace"] in (None, f"{t['model_id']}/{s['name']}.trace")
+                    assert (s["trace"] is not None) == (s["verdict"] == "VIOLATED")
+                    if s["trace"]:  # the trace comes from this task's instance
+                        lines = (out_dir / s["trace"]).read_text().splitlines()
+                        assert {line.split(" = ")[0] for line in lines
+                                if "_occurred = " in line} == latches[t["model_id"]]
+            reports.append(_without_timing(report))
+            traces.append({str(f.relative_to(out_dir)): f.read_bytes()
+                           for f in sorted(out_dir.rglob("*.trace"))})
+        assert reports[0] == reports[1]
+        assert traces[0] == traces[1]
+        assert bool(traces[0]) == (want_code == 1)
+    assert {len(specs) for _, specs in planned} == {4, 6}
 
 
 def test_check_rejects_bad_model(tmp_path, capsys):
@@ -167,3 +193,15 @@ def test_input_errors_exit_two_without_traceback(bundle_dir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, argv
         assert any(line.startswith("error: ") for line in err.splitlines()), (argv, err)
+    model = str(bundle_dir / "vcs.fsm")
+    for argv, option in (
+        (batch + ["--range", "1", "1", "1", "1", "--bound", "-1"], "--bound"),
+        (["check", model, "--formula", "TRUE", "--bound", "-1"], "--bound"),
+        (["simulate", model, "--steps", "-1"], "--steps"),
+    ):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exited.value.code == 2, argv
+        assert f"argument {option}: must be >= 0" in err, (argv, err)
+        assert "Traceback" not in err

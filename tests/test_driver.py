@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -122,7 +123,7 @@ def test_spec_catalog_probe_and_warning(desk, tmp_path):
     plan = plan_batch(catalog, matrix, structural, (1, 3, 1, 3), bound=70)
     probe = instantiate_model(desk.model_text, plan.tasks[0], (15, 40), structural)
     probe_ts = elaborate(parse_model(probe.source))
-    specs = load_spec_catalog(paths["specs"], probe_ts, {
+    specs = load_spec_catalog(structural, probe_ts, {
         "FAIL_A": "f_pwr_a", "FAIL_B": "f_ecu_1",
         "TARGET_MODE": "FallbackA", "WINDOW_LO": "15", "WINDOW_HI": "40",
     })
@@ -419,8 +420,24 @@ def test_run_batch_rejects_before_dispatch(desk, desk6, tmp_path, monkeypatch):
     catalog, matrix, specs = desk6
     plan = plan_batch(catalog, matrix, specs, (1, 1, 2, 2), bound=70)
     dispatched = []
-    monkeypatch.setattr(runner, "run_unit", dispatched.append)
+    monkeypatch.setattr(runner, "check_unit", lambda *unit: dispatched.append(unit))
     template = elaborate(parse_model(desk.model_text))
     with pytest.raises(InstantiationError, match="too small"):
         run_batch(plan, template, specs, out_dir=tmp_path / "out", window=(20, 20))
     assert dispatched == []
+
+
+def test_run_batch_reports_hard_worker_crash(desk, desk6, tmp_path, monkeypatch):
+    catalog, matrix, specs = desk6
+    plan = plan_batch(catalog, matrix, specs, (1, 1, 2, 2), bound=70)
+    # the pool forks its workers, so they inherit the patch and die in the check
+    monkeypatch.setattr(runner, "check_bounded", lambda task: os._exit(1))
+    template = elaborate(parse_model(desk.model_text))
+    report = run_batch(plan, template, specs, out_dir=tmp_path / "out", workers=2)
+    planned = sorted(plan.tasks, key=lambda t: t.sort_key)
+    assert [(t.row, t.col) for t in report.tasks] == [(t.row, t.col) for t in planned]
+    for task, want in zip(report.tasks, planned):
+        assert tuple(s.name for s in task.specs) == want.specs
+        for s in task.specs:
+            assert s.verdict == "ERROR" and s.detail.startswith("worker crashed: "), s
+    assert report.exit_code() == 2

@@ -8,8 +8,8 @@ from fsmcheck.lang import parse_model, validate_model
 from fsmcheck.semantics import (
     ElaborationError, IntDomain, ModelStepError, State, elaborate, eval_expr,
     first_choice, initial_states, parse_state_expr, rule_candidates,
-    scripted_chooser, seeded_random_chooser, simulate, successors, trace_from_json,
-    trace_from_text, trace_to_json, trace_to_text,
+    scripted_chooser, seeded_random_chooser, simulate, successors, trace_from_text,
+    trace_to_text,
 )
 
 from helpers import fixture_text, random_int_model
@@ -318,13 +318,6 @@ def test_trace_text_roundtrip():
     text = trace_to_text(trace)
     assert text.splitlines()[0] == "step 0"
     back = trace_from_text(text, ts)
-    assert [s.values for s in back.states] == [s.values for s in trace.states]
-
-
-def test_trace_json_roundtrip():
-    ts = build(TWO_BOOL)
-    trace = simulate(ts, 4)
-    back = trace_from_json(trace_to_json(trace), ts)
     assert [s.values for s in back.states] == [s.values for s in trace.states]
 
 
