@@ -15,8 +15,6 @@ def dependency_graph(ts: TransitionSystem) -> dict[str, set[str]]:
         reads: set[int] = set()
         if v.next is not None:
             collect_refs(v.next, reads)
-        if v.monitor is not None:
-            collect_refs(v.monitor.expr, reads)
         out[v.name] = {ts.variables[i].name for i in reads}
     return out
 

@@ -2,7 +2,7 @@ from . import ast
 from .lexer import ParseError
 from .parser import parse_expr_text, parse_model
 from .printer import pretty_print, print_expr
-from .validate import Diagnostic, validate_model
+from .validate import validate_model
 
 __all__ = [
     "ast",
@@ -12,5 +12,4 @@ __all__ = [
     "pretty_print",
     "print_expr",
     "validate_model",
-    "Diagnostic",
 ]

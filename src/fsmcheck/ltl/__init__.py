@@ -1,6 +1,6 @@
 from . import formula
 from .formula import Formula, format_formula, has_past, has_unbounded
-from .parser import LtlError, parse_ltl
+from .parser import parse_ltl
 from .past import PastEliminationError, eliminate_past
 from .prefix import PrefixVerdict, holds_on_prefix
 
@@ -11,7 +11,6 @@ __all__ = [
     "has_past",
     "has_unbounded",
     "parse_ltl",
-    "LtlError",
     "eliminate_past",
     "PastEliminationError",
     "holds_on_prefix",

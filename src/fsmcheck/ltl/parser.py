@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from ..lang import ast
 from ..lang.lexer import ParseError, TokenStream, tokenize
+from ..lang.printer import print_expr
 from ..semantics.exec import ResolutionError, infer_kind, resolve_expr
 from ..semantics.system import TransitionSystem
 from . import formula as F
@@ -176,12 +177,6 @@ class _Parser:
         kind = infer_kind(self.system, flat)
         if kind != "bool":
             raise ParseError(
-                f"atom {_brief(expr)!r} is {kind}, not boolean", tok.line, tok.col
+                f"atom {print_expr(expr)!r} is {kind}, not boolean", tok.line, tok.col
             )
         return F.Atom(flat)
-
-
-def _brief(expr: ast.Expr) -> str:
-    from ..lang.printer import print_expr
-
-    return print_expr(expr)

@@ -1,24 +1,26 @@
-"""Past-operator elimination by latch-variable monitor synthesis.
+"""Past-operator elimination by latch variables.
 
-Each maximal past subformula is replaced by a fresh boolean latch variable
-added to the system, with update rules realizing the exact semantics:
+Each distinct past subformula adds one ordinary boolean variable, its latch
+L, which holds the subformula's value before the current step: the
+standard past-time LTL construction (Havelund & Rosu, TACAS 2002). With p
+the subformula's body:
 
-* ``O p``: latch starts at p and is re-evaluated inclusively, so its value
-  at step t equals "p held at some step <= t";
-* ``Y p``: latch starts false and carries p's previous-step value;
-* ``H p``: conjunctive latch, the dual of O.
+* ``Y p``: init FALSE, next p; the atom is L;
+* ``O p``: init FALSE, next L | p; the atom is L | p;
+* ``H p``: init TRUE, next L & p; the atom is L & p.
 
-Structurally identical past subformulas share one latch, so state growth is
-one variable per distinct past subformula. Bodies must be state formulas
-(atoms, boolean connectives, and already-eliminated inner past operators):
-a latch read at step t cannot equal a property of states after t, so past
-over future operators has no exact latch realization and is rejected.
+So the atom equals the subformula at every step, and each latch is a
+deterministic next rule of the current state that the compiled kernel steps
+like any other variable. Structurally identical past subformulas share one
+latch. Bodies must be state formulas (atoms, boolean connectives, and
+already-eliminated inner past operators): a latch read at step t cannot
+equal a property of states after t, so past over future operators has no
+exact latch realization and is rejected.
 """
 from __future__ import annotations
 
 from ..semantics.system import (
-    BoolDomain, Const, FBinary, FExpr, FUnary, MonitorRule, TransitionSystem,
-    VarDef, VarRef,
+    BoolDomain, Const, FBinary, FExpr, FUnary, TransitionSystem, VarDef, VarRef,
 )
 from . import formula as F
 
@@ -27,40 +29,38 @@ class PastEliminationError(Exception):
     pass
 
 
-_KINDS = {F.Once: ("O", "post_or"), F.Historically: ("H", "post_and"),
-          F.Yesterday: ("Y", "cur")}
+_OPS = {F.Once: "O", F.Historically: "H", F.Yesterday: "Y"}
 
 
 def eliminate_past(f: F.Formula, ts: TransitionSystem) -> tuple[F.Formula, TransitionSystem]:
-    """Returns (future-only formula, augmented system).
+    """Returns (future-only formula, system with the latches appended).
 
-    On every trace of the augmented system the latch value at step t equals
-    the eliminated subformula's semantics at step t (current-inclusive for
-    O and H). Systems without past operators are returned unchanged.
+    On every trace of the augmented system, each atom that replaces a past
+    subformula equals that subformula's semantics at every step. Systems
+    without past operators are returned unchanged.
     """
     if not F.has_past(f):
         return f, ts
     elim = _Eliminator(ts)
     out = elim.walk(f)
-    return out, ts.with_monitors(tuple(elim.new_vars))
+    system = TransitionSystem(ts.variables + tuple(elim.latches),
+                              defines=ts.defines, source_name=ts.source_name)
+    return out, system
 
 
 class _Eliminator:
     def __init__(self, ts: TransitionSystem):
         self.ts = ts
-        self.new_vars: list[VarDef] = []
-        self.cache: dict[tuple[str, FExpr], VarRef] = {}
+        self.latches: list[VarDef] = []
+        self.cache: dict[tuple[str, FExpr], FExpr] = {}
         self.taken = set(ts.index)
 
     def walk(self, f: F.Formula) -> F.Formula:
         if isinstance(f, F.Atom):
             return f
-        if isinstance(f, tuple(_KINDS)):
-            sub = self.walk(f.sub)
-            body = self._to_state_expr(sub)
-            op, kind = _KINDS[type(f)]
-            ref = self._latch(op, kind, body, f.sub)
-            return F.Atom(ref)
+        if isinstance(f, tuple(_OPS)):
+            body = self._to_state_expr(self.walk(f.sub))
+            return F.Atom(self._latch(_OPS[type(f)], body))
         if isinstance(f, F.Not):
             return F.Not(self.walk(f.sub))
         if isinstance(f, (F.And, F.Or, F.Implies, F.Until, F.Release)):
@@ -71,25 +71,29 @@ class _Eliminator:
             return type(f)(f.lo, f.hi, self.walk(f.sub))
         raise TypeError(f"unknown formula node {f!r}")
 
-    def _latch(self, op: str, kind: str, body: FExpr, original: F.Formula) -> VarRef:
+    def _latch(self, op: str, body: FExpr) -> FExpr:
+        """Add the latch of `op body` (once) and return the atom over it."""
         key = (op, body)
         hit = self.cache.get(key)
         if hit is not None:
             return hit
-        index = len(self.ts.variables) + len(self.new_vars)
         name = self._fresh_name(op, body)
-        self.new_vars.append(
-            VarDef(name, BoolDomain(), monitor=MonitorRule(kind, body))
-        )
-        ref = VarRef(index, name)
-        self.cache[key] = ref
-        return ref
+        latch = VarRef(len(self.ts.variables) + len(self.latches), name)
+        if op == "Y":
+            init, nxt, atom = Const(False), body, latch
+        else:
+            conn = "|" if op == "O" else "&"
+            init, atom = Const(op == "H"), FBinary(conn, latch, body)
+            nxt = atom
+        self.latches.append(VarDef(name, BoolDomain(), init=init, next=nxt))
+        self.cache[key] = atom
+        return atom
 
     def _fresh_name(self, op: str, body: FExpr) -> str:
         if isinstance(body, VarRef):
             base = f"{op}_{body.name.replace('.', '_')}"
         else:
-            base = f"{op}_sub{len(self.new_vars)}"
+            base = f"{op}_sub{len(self.latches)}"
         name = base
         n = 1
         while name in self.taken:

@@ -1,12 +1,13 @@
 """Stepping and evaluation over elaborated systems.
 
 One compiled kernel owns stepping. `_ops` compiles a system's next rules,
-once, into `_step_all`: it returns every model variable's candidate tuple,
+once, into `_step_all`: it returns every variable's candidate tuple,
 then checks the candidates of each int-range variable that has a next rule
 against its domain. The first out-of-range value, in variable order, raises
 ModelStepError: the step is poisoned, and a poisoned step has no successors.
 next_values (which the checker calls), successors, is_successor and simulate
-all step through this kernel.
+all step through this kernel. The latches that past-operator elimination
+appends are ordinary variables, so the kernel steps them too.
 
 Successor enumeration is lexicographic over the ordered variable list with
 set-literal choices in listed order, so every enumerator-based test is
@@ -24,6 +25,7 @@ from ..lang.parser import parse_expr_text
 from .system import (
     Const, EnumDomain, FBinary, FCase, FChoice, FExpr, FUnary, IntDomain,
     State, Trace, TransitionSystem, Value, VarDef, VarRef, collect_refs,
+    format_fexpr,
 )
 
 
@@ -42,8 +44,6 @@ class ModelStepError(Exception):
         super().__init__(self._message())
 
     def _message(self) -> str:
-        from .system import format_fexpr
-
         at = f" at step {self.step}" if self.step is not None else ""
         return (
             f"value {self.value!r} for {self.var!r} is outside its domain{at}; "
@@ -133,11 +133,10 @@ def rule_candidates(e: FExpr, values: tuple) -> tuple[Value, ...]:
 
 
 class _Ops:
-    __slots__ = ("step_all", "monitor_fns", "init_order")
+    __slots__ = ("step_all", "init_order")
 
-    def __init__(self, step_all, monitor_fns, init_order):
+    def __init__(self, step_all, init_order):
         self.step_all = step_all
-        self.monitor_fns = monitor_fns
         self.init_order = init_order
 
 
@@ -191,7 +190,7 @@ def _ops(ts: TransitionSystem) -> _Ops:
         return ts._ops
     parts = []
     checks = []
-    for i, v in enumerate(ts.variables[: ts.n_model_vars]):
+    for i, v in enumerate(ts.variables):
         if v.next is None:
             parts.append(repr(v.domain.values()))
             continue
@@ -207,31 +206,25 @@ def _ops(ts: TransitionSystem) -> _Ops:
     # the namespace holds the variables but not ts, so no reference cycle forms
     ns: dict = {"_uniq": _uniq, "_vars": ts.variables, "ModelStepError": ModelStepError}
     exec(compile(src, f"<step:{ts.source_name}>", "exec"), ns)
-    monitor_fns = []
-    for v in ts.variables[ts.n_model_vars:]:
-        fn_src = f"def _m(s):\n    return {_emit(v.monitor.expr)}\n"
-        fns: dict = {}
-        exec(compile(fn_src, f"<monitor:{v.name}>", "exec"), fns)
-        monitor_fns.append((v.monitor.kind, fns["_m"]))
-    ops = _Ops(ns["_step_all"], monitor_fns, _init_order(ts))
+    ops = _Ops(ns["_step_all"], _init_order(ts))
     ts._ops = ops
     return ops
 
 
 def _init_order(ts: TransitionSystem) -> list[int]:
-    """Stable topological order of model vars by init-rule dependencies.
+    """Stable topological order of variables by init-rule dependencies.
 
     Init rules may read other variables' initial values; enumeration then
     branches in dependency order (equal to declaration order when rules are
     self-contained, which keeps initial-state enumeration lexicographic).
     """
-    n = ts.n_model_vars
+    n = len(ts.variables)
     deps: list[set[int]] = []
-    for v in ts.variables[:n]:
+    for v in ts.variables:
         need: set[int] = set()
         if v.init is not None:
             collect_refs(v.init, need)
-        deps.append({d for d in need if d < n})
+        deps.append(need)
     order: list[int] = []
     placed = [False] * n
     progress = True
@@ -260,40 +253,15 @@ def _init_candidates(v: VarDef, values: tuple) -> tuple[Value, ...]:
     return cands
 
 
-def _monitor_init(ts: TransitionSystem, model_values: list) -> list:
-    full = list(model_values)
-    for v in ts.variables[ts.n_model_vars:]:
-        if v.monitor.kind == "cur":
-            full.append(False)
-        else:
-            full.append(bool(eval_fexpr(v.monitor.expr, tuple(full))))
-    return full[ts.n_model_vars:]
-
-
-def _monitor_step(ts: TransitionSystem, ops: _Ops, old: tuple, new_model) -> list:
-    base = ts.n_model_vars
-    new_full = list(new_model)
-    for j, (kind, fn) in enumerate(ops.monitor_fns):
-        if kind == "cur":
-            new_full.append(bool(fn(old)))
-        elif kind == "post_or":
-            new_full.append(bool(old[base + j]) or bool(fn(new_full)))
-        else:  # post_and
-            new_full.append(bool(old[base + j]) and bool(fn(new_full)))
-    return new_full[base:]
-
-
 def initial_states(ts: TransitionSystem) -> Iterator[State]:
     """All states satisfying the init rules; free init vars range over
     their domains, expanded lexicographically in variable order."""
     ops = _ops(ts)
-    n = ts.n_model_vars
-    values: list = [None] * n
+    values: list = [None] * len(ts.variables)
 
     def expand(pos: int) -> Iterator[State]:
         if pos == len(ops.init_order):
-            monitors = _monitor_init(ts, values)
-            yield State(tuple(values) + tuple(monitors), ts)
+            yield State(tuple(values), ts)
             return
         i = ops.init_order[pos]
         for c in _init_candidates(ts.variables[i], tuple(values)):
@@ -306,17 +274,12 @@ def initial_states(ts: TransitionSystem) -> Iterator[State]:
 
 def next_values(ts: TransitionSystem, values: tuple) -> Iterator[tuple]:
     """Value tuples of all one-step successors, in lexicographic candidate
-    order, with the monitor values appended.
+    order.
 
     Raises ModelStepError at the call, before anything is yielded, when the
     step from values is poisoned.
     """
-    ops = _ops(ts)
-    cands = ops.step_all(values)
-    if not ops.monitor_fns:
-        return itertools.product(*cands)
-    return (combo + tuple(_monitor_step(ts, ops, values, combo))
-            for combo in itertools.product(*cands))
+    return itertools.product(*_ops(ts).step_all(values))
 
 
 def successors(ts: TransitionSystem, s: State) -> Iterator[State]:
@@ -329,34 +292,24 @@ def is_successor(ts: TransitionSystem, s: State, t: State) -> bool:
 
     A poisoned step has no successors, so nothing follows s then.
     """
-    ops = _ops(ts)
     try:
-        cands = ops.step_all(s.values)
+        cands = _ops(ts).step_all(s.values)
     except ModelStepError:
         return False
-    for i, c in enumerate(cands):
-        if t.values[i] not in c:
-            return False
-    if ops.monitor_fns:
-        monitors = _monitor_step(ts, ops, s.values, t.values[: ts.n_model_vars])
-        if tuple(monitors) != t.values[ts.n_model_vars:]:
-            return False
-    return True
+    return all(t.values[i] in c for i, c in enumerate(cands))
 
 
 def satisfies_init(ts: TransitionSystem, s: State) -> bool:
     """Init-rule membership; an init rule with an out-of-range candidate
     admits no initial state, as in initial_states."""
-    ops = _ops(ts)
-    for i in ops.init_order:
+    for i in _ops(ts).init_order:
         v = ts.variables[i]
         try:
             if s.values[i] not in _init_candidates(v, s.values):
                 return False
         except ModelStepError:
             return False
-    monitors = _monitor_init(ts, list(s.values[: ts.n_model_vars]))
-    return tuple(monitors) == s.values[ts.n_model_vars:]
+    return True
 
 
 # --- choosers and simulation ----------------------------------------------
@@ -407,23 +360,20 @@ def simulate(ts: TransitionSystem, steps: int, chooser: Chooser = first_choice) 
     if steps < 0:
         raise ValueError("steps must be >= 0")
     ops = _ops(ts)
-    n = ts.n_model_vars
-    values: list = [None] * n
+    values: list = [None] * len(ts.variables)
     for i in ops.init_order:
         v = ts.variables[i]
         cands = _init_candidates(v, tuple(values))
         values[i] = chooser(0, v.name, cands) if len(cands) > 1 else cands[0]
-    current = tuple(values) + tuple(_monitor_init(ts, values))
+    current = tuple(values)
     states = [State(current, ts)]
     for step in range(1, steps + 1):
         try:
             cands = ops.step_all(current)
         except ModelStepError as err:
             raise err.with_step(step) from None
-        new_model = [chooser(step, v.name, c) if len(c) > 1 else c[0]
-                     for v, c in zip(ts.variables, cands)]
-        monitors = _monitor_step(ts, ops, current, new_model)
-        current = tuple(new_model) + tuple(monitors)
+        current = tuple(chooser(step, v.name, c) if len(c) > 1 else c[0]
+                        for v, c in zip(ts.variables, cands))
         states.append(State(current, ts))
     return Trace(tuple(states))
 

@@ -140,33 +140,12 @@ def collect_refs(e: FExpr, out: set[int]) -> None:
             collect_refs(i, out)
 
 
-# --- monitor rules (added by past-operator elimination) -------------------
-
-
-@dataclass(frozen=True)
-class MonitorRule:
-    """Latch update for a synthesized monitor variable.
-
-    kind "cur":      value(t+1) = expr evaluated on state t; initial FALSE.
-    kind "post_or":  value(t+1) = value(t) | expr on state t+1; initial expr on state 0.
-    kind "post_and": value(t+1) = value(t) & expr on state t+1; initial expr on state 0.
-
-    Post-evaluated monitors observe the newly computed state, so a latch can
-    track a condition inclusively of the current step. Monitors are append-only
-    observers: no model variable may read them.
-    """
-
-    kind: str
-    expr: FExpr
-
-
 @dataclass(frozen=True)
 class VarDef:
     name: str
     domain: Domain
     init: Optional[FExpr] = None   # None = unconstrained at init
     next: Optional[FExpr] = None   # None = free every step
-    monitor: Optional[MonitorRule] = None
 
 
 class TransitionSystem:
@@ -184,10 +163,6 @@ class TransitionSystem:
         self.index = {v.name: i for i, v in enumerate(variables)}
         if len(self.index) != len(variables):
             raise ValueError("duplicate qualified variable name")
-        self.n_model_vars = sum(1 for v in variables if v.monitor is None)
-        for i, v in enumerate(variables):
-            if v.monitor is not None and i < self.n_model_vars:
-                raise ValueError("monitor variables must come after model variables")
         self._ops = None  # compiled lazily
 
     def var(self, name: str) -> VarDef:
@@ -202,13 +177,6 @@ class TransitionSystem:
             if isinstance(v.domain, EnumDomain):
                 syms.update(v.domain.symbols)
         return syms
-
-    def with_monitors(self, monitors: tuple[VarDef, ...]) -> "TransitionSystem":
-        return TransitionSystem(
-            self.variables + monitors,
-            defines=self.defines,
-            source_name=self.source_name,
-        )
 
 
 @dataclass(frozen=True)

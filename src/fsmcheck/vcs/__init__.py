@@ -1,11 +1,7 @@
 from .generate import (
-    MODES, MUTANTS, AxisEntry, VcsBundle, VcsConfig, axis_entries,
-    channel_of, generate_vcs_model, master_of, pair_target, peripherals,
-    route_of, signals, single_target,
+    VcsConfig, axis_entries, channel_of, generate_vcs_model, signals,
 )
 
 __all__ = [
-    "VcsConfig", "VcsBundle", "AxisEntry", "generate_vcs_model",
-    "axis_entries", "signals", "route_of", "channel_of", "master_of",
-    "peripherals", "single_target", "pair_target", "MODES", "MUTANTS",
+    "VcsConfig", "generate_vcs_model", "axis_entries", "signals", "channel_of",
 ]

@@ -14,6 +14,7 @@ from fsmcheck.semantics import State, Trace, elaborate
 
 from helpers import (
     int_model_atoms, random_bool_model, random_future_formula, random_int_model,
+    random_past_formula,
 )
 
 COUNTER = """
@@ -220,6 +221,22 @@ def test_oracle_equivalence_int_domains(seed):
     src = random_int_model(rng)
     ts = build(src)
     text = random_future_formula(rng, int_model_atoms(ts), rng.randrange(1, 4))
+    _assert_matches_oracle(ts, src, text, rng)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_oracle_equivalence_past_operators(seed):
+    rng = random.Random(seed)
+    src = random_int_model(rng)
+    ts = build(src)
+    text = random_past_formula(rng, int_model_atoms(ts), rng.randrange(1, 4))
+    _assert_matches_oracle(ts, src, text, rng)
+
+
+def _assert_matches_oracle(ts, src, text, rng):
+    """check_bounded agrees with brute_force_check on a random bound, and
+    every counterexample replays to VIOLATED."""
     f = parse_ltl(text, ts)
     task = CheckTask(ts, f, bound_k=rng.randrange(0, 4))
     fast = check_bounded(task)

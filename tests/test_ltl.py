@@ -10,7 +10,8 @@ from fsmcheck.ltl import (
 )
 from fsmcheck.ltl import formula as F
 from fsmcheck.semantics import (
-    Trace, elaborate, initial_states, simulate, seeded_random_chooser, successors,
+    Trace, elaborate, eval_expr, initial_states, scripted_chooser, simulate,
+    seeded_random_chooser, successors,
 )
 
 H = PrefixVerdict.HOLDS
@@ -227,26 +228,10 @@ def test_latch_progression(ts):
     out, aug = eliminate_past(f, ts)
     assert isinstance(out, F.Atom)
     assert aug.names()[-1] == "O_OpModeA"
-    # p first true at step 2 -> latch reads F,F,T,T,...
-    from fsmcheck.semantics.system import State
-
-    vals = [False, False, True, False, False]
-    latch = []
-    prev = None
-    for i, v in enumerate(vals):
-        model = {"OpModeA": v, "OpModeB": False, "Mode": "Startup", "n": min(i, 9)}
-        base = tuple(model[x.name] for x in ts.variables)
-        if prev is None:
-            from fsmcheck.semantics.exec import _monitor_init
-
-            mon = _monitor_init(aug, list(base))
-        else:
-            from fsmcheck.semantics.exec import _monitor_step, _ops
-
-            mon = _monitor_step(aug, _ops(aug), prev, list(base))
-        prev = base + tuple(mon)
-        latch.append(mon[0])
-    assert latch == [False, False, True, True, True]
+    # p true only at step 2 -> the atom reads F,F,T,T,T
+    trace = simulate(aug, 4, scripted_chooser({(2, "OpModeA"): True}))
+    assert [s["OpModeA"] for s in trace] == [False, False, True, False, False]
+    assert [eval_expr(out.expr, s) for s in trace] == [False, False, True, True, True]
 
 
 def test_paper_formula_two_latches(ts):
@@ -254,7 +239,7 @@ def test_paper_formula_two_latches(ts):
     out, aug = eliminate_past(f, ts)
     new = aug.names()[len(ts.names()):]
     assert new == ["O_OpModeA", "O_OpModeB"]
-    assert format_formula(out) == "G !(O_OpModeA & O_OpModeB)"
+    assert format_formula(out) == "G !((O_OpModeA | OpModeA) & (O_OpModeB | OpModeB))"
 
 
 def test_structural_dedup(ts):
@@ -311,7 +296,7 @@ ASSIGN
         trace = simulate(aug, rng.randrange(1, 8), seeded_random_chooser(i))
         projected = Trace(
             tuple(
-                type(s)(s.values[: ts.n_model_vars], ts) for s in trace.states
+                type(s)(s.values[: len(ts.variables)], ts) for s in trace.states
             )
         )
         direct = holds_on_prefix(f, projected)
