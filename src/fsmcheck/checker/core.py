@@ -9,6 +9,18 @@ three-valued evaluation while exploring deduplicated states instead of
 paths. Per-depth deduplication is sound for counterexample-completeness:
 a pair reached earlier has at least as much remaining bound as a later
 repeat.
+
+The search runs on the system sliced by `deps.slice_constants`: its
+sequential constants are left out, the other variables re-indexed, and the
+formula's atoms rewritten through the same substitution; past operators
+are eliminated on the sliced system. The constants hold in every reachable
+state, so the sliced search visits the projections of the unsliced
+search's states in the same order: initial states come in the unsliced
+system's init order, and a dropped variable would add only one candidate
+to each successor product. Each counterexample state is put back to full
+width, with the constants at their indices, before `project` builds the
+Trace, and a ModelError quotes the unsliced rule, so the verdict is the
+one the unsliced system gives.
 """
 from __future__ import annotations
 
@@ -19,7 +31,8 @@ from typing import Optional, Union
 from ..ltl import formula as F
 from ..ltl.past import eliminate_past
 from ..semantics.exec import ModelStepError, _emit, initial_states, next_values
-from ..semantics.system import Const, FExpr, State, Trace, TransitionSystem
+from ..semantics.system import FExpr, State, Trace, TransitionSystem
+from .deps import sequential_constants, slice_constants
 
 
 @dataclass(frozen=True)
@@ -188,18 +201,16 @@ class _Obligations:
 
 def _collect_atoms(f: F.Formula, out: dict[FExpr, int]) -> None:
     if isinstance(f, F.Atom):
-        if not isinstance(f.expr, Const):
-            out.setdefault(f.expr, len(out))
+        out.setdefault(f.expr, len(out))
         return
     for c in F.children(f):
         _collect_atoms(c, out)
 
 
 def _nnf(f: F.Formula, neg: bool, ob: _Obligations, atom_ids: dict) -> int:
+    # a constant atom is a literal too: it is decided by the state that
+    # reads it, so X FALSE is violated at step 1, not at step 0
     if isinstance(f, F.Atom):
-        if isinstance(f.expr, Const):
-            value = bool(f.expr.value) != neg
-            return TOP if value else BOT
         return ob.lit(atom_ids[f.expr], neg)
     if isinstance(f, F.Not):
         return _nnf(f.sub, not neg, ob, atom_ids)
@@ -256,18 +267,26 @@ def check_bounded(task: CheckTask) -> Verdict:
     within the bound is reported.
     """
     budget = TimeoutBudget(task.timeout)
-    formula, ts = eliminate_past(task.formula, task.ts)
+    sliced = slice_constants(task.ts, sequential_constants(task.ts))
+    formula, ts = eliminate_past(F.map_atoms(task.formula, sliced.rewrite), sliced.system)
     atom_ids: dict[FExpr, int] = {}
     _collect_atoms(formula, atom_ids)
     atoms = list(atom_ids)
     ob = _Obligations(atoms)
     root = _nnf(formula, False, ob, atom_ids)
     atom_fn = _compile_atoms(atoms)
-    orig_width = len(task.ts.variables)  # latches appended after these
+    # latches go last; their inits are constants, so where they branch is moot
+    init_order = sliced.init_order + list(range(len(sliced.system.variables),
+                                                len(ts.variables)))
 
     def project(values_chain: list[tuple]) -> Trace:
-        states = tuple(State(v[:orig_width], task.ts) for v in values_chain)
-        return Trace(states)
+        return Trace(tuple(State(sliced.expand(v), task.ts) for v in values_chain))
+
+    def unsliced(err: ModelStepError) -> str:
+        """err's message quoting the task's rule, not the folded one."""
+        v = task.ts.var(err.var)
+        return str(ModelStepError(err.var, err.value,
+                                  v.init if err.step == 0 else v.next, err.step))
 
     poison: Optional[tuple[int, str]] = None
     undecided_tail = False
@@ -276,7 +295,7 @@ def check_bounded(task: CheckTask) -> Verdict:
     frontier: dict[tuple, tuple] = {}
     settled: dict[tuple, None] = {}  # decided states, in insertion order
     try:
-        for s in initial_states(ts):
+        for s in initial_states(ts, init_order):
             bits = atom_fn(s.values)
             res = ob.progress(root, bits)
             if res == BOT:
@@ -288,7 +307,7 @@ def check_bounded(task: CheckTask) -> Verdict:
             if key not in frontier:
                 frontier[key] = (s.values, res, None)
     except ModelStepError as err:
-        return ModelError(0, str(err))
+        return ModelError(0, unsliced(err))
 
     for depth in range(1, task.bound_k + 1):
         if not frontier and not settled:
@@ -303,7 +322,7 @@ def check_bounded(task: CheckTask) -> Verdict:
                 succ_values = next_values(ts, values)
             except ModelStepError as err:
                 if poison is None:
-                    poison = (depth, str(err))
+                    poison = (depth, unsliced(err))
                 continue
             for nv in succ_values:
                 bits = atom_fn(nv)
@@ -329,7 +348,7 @@ def check_bounded(task: CheckTask) -> Verdict:
                 try:
                     new_settled.update(dict.fromkeys(next_values(ts, values)))
                 except ModelStepError as err:
-                    poison = (depth, str(err))
+                    poison = (depth, unsliced(err))
                     break
         frontier = new_frontier
         settled = new_settled if poison is None else {}

@@ -1,14 +1,30 @@
-"""Variable-dependency diagnostics (no reduction is applied; report only)."""
+"""Variable dependencies and sequential constants.
+
+A sequential constant is a variable whose init is a constant c in its
+domain and whose next rule, once every sequential constant is substituted
+and the rule folded, is exactly c again. By induction on the step, it holds
+c in every reachable state. `sequential_constants` computes the greatest
+such set, and `slice_constants` leaves it out of a system: this is the
+constant propagation that precedes cone-of-influence reduction (Clarke,
+Grumberg & Peled, *Model Checking*, 1999; NuSMV applies it with `-coi`).
+The checker checks every system sliced this way; no per-spec cone of
+influence is applied on top.
+"""
 from __future__ import annotations
 
-from ..semantics.system import TransitionSystem, collect_refs
+from dataclasses import dataclass
+
+from ..semantics.exec import _init_order
+from ..semantics.system import (
+    Const, FExpr, TransitionSystem, Value, VarDef, VarRef, collect_refs, fold,
+    format_fexpr, same_const,
+)
 
 
 def dependency_graph(ts: TransitionSystem) -> dict[str, set[str]]:
     """Map each variable to the variables its next rule reads.
 
-    Free variables map to an empty set. Computed for diagnostics; the
-    checker deliberately performs no cone-of-influence reduction.
+    Free variables map to an empty set.
     """
     out: dict[str, set[str]] = {}
     for v in ts.variables:
@@ -19,10 +35,99 @@ def dependency_graph(ts: TransitionSystem) -> dict[str, set[str]]:
     return out
 
 
+def sequential_constants(ts: TransitionSystem) -> dict[int, Value]:
+    """The greatest set of sequential constants, as index -> value.
+
+    Every variable with a constant init in its domain and a next rule starts
+    as a candidate. A candidate whose folded next rule is not its init
+    value is dropped, and then only the candidates whose next rule reads it
+    are checked again.
+    """
+    consts: dict[int, Value] = {}
+    for i, v in enumerate(ts.variables):
+        if isinstance(v.init, Const) and v.next is not None and v.domain.contains(v.init.value):
+            consts[i] = v.init.value
+    readers: dict[int, list[int]] = {i: [] for i in consts}
+    for i in consts:
+        reads: set[int] = set()
+        collect_refs(ts.variables[i].next, reads)
+        for j in reads:
+            if j in readers:
+                readers[j].append(i)
+    env: dict[int, FExpr] = {i: Const(c) for i, c in consts.items()}
+    work = list(consts)
+    while work:
+        i = work.pop()
+        if i in env and not same_const(fold(ts.variables[i].next, env), consts[i]):
+            del env[i], consts[i]
+            work.extend(readers[i])
+    return consts
+
+
+@dataclass(frozen=True)
+class ConstantSlice:
+    """A system with its sequential constants left out."""
+
+    system: TransitionSystem      # the kept variables, re-indexed, no defines
+    kept: tuple[int, ...]         # the full index of each variable of system
+    full: tuple                   # a full-width state: the constants in place
+    env: dict[int, FExpr]         # full index -> its constant or kept VarRef
+    init_order: list[int]         # the full system's init order, re-indexed
+
+    def rewrite(self, e: FExpr) -> FExpr:
+        """e over the full system, as an expression over the sliced one."""
+        return fold(e, self.env) if self.env else e
+
+    def expand(self, values: tuple) -> tuple:
+        """A sliced state (latches after it are ignored) at full width."""
+        out = list(self.full)
+        for i, value in zip(self.kept, values):
+            out[i] = value
+        return tuple(out)
+
+
+def slice_constants(ts: TransitionSystem, consts: dict[int, Value]) -> ConstantSlice:
+    """ts without the variables in consts, each rule folded over them.
+
+    The initial states of the sliced system are enumerated in the order of
+    `init_order`, which is ts's own order filtered: the sliced init rules
+    no longer read the constants, so the sliced system's own order can
+    differ. With no constants, the slice is ts itself.
+    """
+    order = _init_order(ts)
+    n = len(ts.variables)
+    if not consts:
+        return ConstantSlice(ts, tuple(range(n)), (None,) * n, {}, order)
+    kept = tuple(i for i in range(n) if i not in consts)
+    env: dict[int, FExpr] = {i: Const(c) for i, c in consts.items()}
+    for new, old in enumerate(kept):
+        env[old] = VarRef(new, ts.variables[old].name)
+    variables = []
+    for i in kept:
+        v = ts.variables[i]
+        variables.append(VarDef(
+            v.name, v.domain,
+            init=None if v.init is None else fold(v.init, env),
+            next=None if v.next is None else fold(v.next, env),
+        ))
+    system = TransitionSystem(tuple(variables), source_name=ts.source_name)
+    full = tuple(consts.get(i) for i in range(n))
+    return ConstantSlice(system, kept, full, env,
+                         [env[i].index for i in order if i not in consts])
+
+
 def format_dependency_report(ts: TransitionSystem) -> str:
     graph = dependency_graph(ts)
+    consts = {ts.variables[i].name: c for i, c in sequential_constants(ts).items()}
     lines = ["variable dependencies (next-state reads):"]
     for name in sorted(graph):
-        deps = ", ".join(sorted(graph[name])) or "(none: free or constant)"
+        if ts.var(name).next is None:
+            deps = "(none: free)"
+        else:
+            deps = ", ".join(sorted(graph[name])) or "(none)"
+        if name in consts:
+            deps += f"  [constant {format_fexpr(Const(consts[name]))}]"
         lines.append(f"  {name} <- {deps}")
+    lines.append(f"sequential constants, left out before checking: "
+                 f"{len(consts)} of {len(graph)} variables")
     return "\n".join(lines)

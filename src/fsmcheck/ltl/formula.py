@@ -6,7 +6,8 @@ O (once), Y (yesterday), H (historically).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from ..semantics.system import FExpr, format_fexpr
 
@@ -127,6 +128,15 @@ def children(f: Formula) -> tuple[Formula, ...]:
     if isinstance(f, (FinallyWithin, GloballyWithin)):
         return (f.sub,)
     return ()
+
+
+def map_atoms(f: Formula, fn: Callable[[FExpr], FExpr]) -> Formula:
+    """f with the expression e of every atom replaced by fn(e)."""
+    if isinstance(f, Atom):
+        return Atom(fn(f.expr))
+    subs = {name: map_atoms(getattr(f, name), fn)
+            for name in ("sub", "left", "right") if hasattr(f, name)}
+    return replace(f, **subs)
 
 
 def format_formula(f: Formula) -> str:

@@ -13,7 +13,7 @@ from typing import Optional, Union
 from ..lang import ast
 from .system import (
     BoolDomain, Const, EnumDomain, FBinary, FCase, FChoice, FExpr,
-    FUnary, IntDomain, TransitionSystem, VarDef, VarRef,
+    FUnary, IntDomain, TransitionSystem, VarDef, VarRef, fold,
 )
 
 
@@ -146,7 +146,7 @@ class _Builder:
 
     def _const_int(self, inst: _Inst, expr: ast.Expr, decl: ast.VarDecl) -> int:
         flat = self._flatten_expr(inst, expr)
-        folded = _fold(flat)
+        folded = fold(flat)
         if not (isinstance(folded, Const) and isinstance(folded.value, int)
                 and not isinstance(folded.value, bool)):
             raise ElaborationError(
@@ -243,23 +243,3 @@ class _Builder:
             raise ElaborationError(f"unresolved identifier {name.text!r}", name.span)
         raise ElaborationError(f"unresolved identifier {name.text!r}", name.span)
 
-
-def _fold(e: FExpr) -> FExpr:
-    if isinstance(e, FUnary):
-        inner = _fold(e.operand)
-        if isinstance(inner, Const):
-            if e.op == "-" and isinstance(inner.value, int):
-                return Const(-inner.value)
-            if e.op == "!" and isinstance(inner.value, bool):
-                return Const(not inner.value)
-        return FUnary(e.op, inner)
-    if isinstance(e, FBinary):
-        left, right = _fold(e.left), _fold(e.right)
-        if isinstance(left, Const) and isinstance(right, Const):
-            a, b = left.value, right.value
-            if e.op == "+" and isinstance(a, int) and isinstance(b, int):
-                return Const(a + b)
-            if e.op == "-" and isinstance(a, int) and isinstance(b, int):
-                return Const(a - b)
-        return FBinary(e.op, left, right)
-    return e

@@ -253,17 +253,23 @@ def _init_candidates(v: VarDef, values: tuple) -> tuple[Value, ...]:
     return cands
 
 
-def initial_states(ts: TransitionSystem) -> Iterator[State]:
+def initial_states(ts: TransitionSystem,
+                   order: Optional[list[int]] = None) -> Iterator[State]:
     """All states satisfying the init rules; free init vars range over
-    their domains, expanded lexicographically in variable order."""
-    ops = _ops(ts)
+    their domains, expanded lexicographically in variable order.
+
+    order, when given, is the order to branch in instead of the init-rule
+    dependency order; it must place every variable after those its init
+    rule reads.
+    """
+    order = _ops(ts).init_order if order is None else order
     values: list = [None] * len(ts.variables)
 
     def expand(pos: int) -> Iterator[State]:
-        if pos == len(ops.init_order):
+        if pos == len(order):
             yield State(tuple(values), ts)
             return
-        i = ops.init_order[pos]
+        i = order[pos]
         for c in _init_candidates(ts.variables[i], tuple(values)):
             values[i] = c
             yield from expand(pos + 1)

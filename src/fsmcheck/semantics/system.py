@@ -8,8 +8,9 @@ says otherwise; the constant is documentary and does not affect semantics.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 Value = Union[bool, int, str]
 
@@ -138,6 +139,110 @@ def collect_refs(e: FExpr, out: set[int]) -> None:
     elif isinstance(e, FChoice):
         for i in e.items:
             collect_refs(i, out)
+
+
+_BINARY = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge, "+": operator.add, "-": operator.sub,
+}
+
+
+def same_const(e: FExpr, value: Value) -> bool:
+    """e is the constant value, of the same type (1 is not TRUE)."""
+    return isinstance(e, Const) and type(e.value) is type(value) and e.value == value
+
+
+def fold(e: FExpr, env: Optional[Mapping[int, FExpr]] = None) -> FExpr:
+    """Substitute env[i] for every variable i that env maps, then fold what
+    became constant.
+
+    Folded: `!`, `-`, arithmetic and comparisons over constants; `&`, `|`
+    and `->` with a boolean constant operand; case arms with constant
+    guards (a false one is dropped, a true one ends the case); and choices
+    whose items are all the same constant. The result has the value of e,
+    as the compiled kernel evaluates it, on every state where each
+    substituted variable holds what env gives it.
+    """
+    return _fold(e, env or {})
+
+
+def _fold(e: FExpr, env: Mapping[int, FExpr]) -> FExpr:
+    if isinstance(e, VarRef):
+        return env.get(e.index, e)
+    if isinstance(e, FBinary):
+        a, b = _fold(e.left, env), _fold(e.right, env)
+        if e.op in ("&", "|", "->"):
+            out = _fold_logic(e.op, a, b)
+            if out is not None:
+                return out
+        elif isinstance(a, Const) and isinstance(b, Const):
+            try:
+                return Const(_BINARY[e.op](a.value, b.value))
+            except TypeError:
+                pass  # the kernel would raise here too, if it ever got here
+        return e if a is e.left and b is e.right else FBinary(e.op, a, b)
+    if isinstance(e, FUnary):
+        a = _fold(e.operand, env)
+        if isinstance(a, Const):
+            if e.op == "!":
+                return Const(not a.value)
+            if isinstance(a.value, int):
+                return Const(-a.value)
+        return e if a is e.operand else FUnary(e.op, a)
+    if isinstance(e, FCase):
+        return _fold_case(e, env)
+    if isinstance(e, FChoice):
+        items = tuple(_fold(i, env) for i in e.items)
+        first = items[0]
+        if isinstance(first, Const) and all(same_const(i, first.value) for i in items):
+            return first
+        return FChoice(items)
+    return e
+
+
+def _fold_logic(op: str, a: FExpr, b: FExpr) -> Optional[FExpr]:
+    x = a.value if isinstance(a, Const) and isinstance(a.value, bool) else None
+    y = b.value if isinstance(b, Const) and isinstance(b.value, bool) else None
+    if op == "&":
+        if x is False or y is False:
+            return Const(False)
+        if x is True:
+            return b
+        if y is True:
+            return a
+    elif op == "|":
+        if x is True or y is True:
+            return Const(True)
+        if x is False:
+            return b
+        if y is False:
+            return a
+    else:
+        if x is False or y is True:
+            return Const(True)
+        if x is True:
+            return b
+        if y is False:
+            return FUnary("!", a)
+    return None
+
+
+def _fold_case(e: FCase, env: Mapping[int, FExpr]) -> FExpr:
+    arms = []
+    last = len(e.arms) - 1
+    for k, (guard, result) in enumerate(e.arms):
+        guard = _fold(guard, env)
+        if isinstance(guard, Const) and k < last:
+            if not guard.value:
+                continue  # never taken
+            last = k  # always taken: the arms after it are dead
+        arms.append((guard, _fold(result, env)))
+        if k == last:
+            break
+    guard, result = arms[0]
+    if len(arms) == 1 and isinstance(guard, Const) and guard.value:
+        return result
+    return FCase(tuple(arms))
 
 
 @dataclass(frozen=True)

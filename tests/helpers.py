@@ -226,3 +226,51 @@ def int_model_atoms(ts) -> list[str]:
         else:
             atoms.append(v.name)
     return atoms
+
+
+def random_constant_model(rng: random.Random) -> tuple[str, set[str], set[str]]:
+    """Model source mixing sequential constants with variables that only
+    look constant, declared in a shuffled order. Returns the source, the
+    variables that are sequential constants by construction, and some that
+    are not.
+
+    Pinned: an int k and a boolean c (next is the init literal or the
+    variable itself) and a pair p, q that keep each other constant. Not
+    pinned: r, which a free input b can set; s, which r can set; a, whose
+    init reads k; and sometimes x, whose constant init lies outside its
+    domain. n, whose rule can leave its range only through k, is pinned for
+    some values of k.
+    """
+    k = rng.randrange(0, 4)
+    c = rng.choice(["TRUE", "FALSE"])
+    pq = rng.choice(["TRUE", "FALSE"])
+    decls = ["k : 0..3;", "c : boolean;", "p : boolean;", "q : boolean;",
+             "r : boolean;", "s : boolean;", "b : boolean;", "a : 0..3;", "n : 0..1;"]
+    rules = [
+        f"init(k) := {k};", f"next(k) := {rng.choice(['k', str(k)])};",
+        f"init(c) := {c};", f"next(c) := {rng.choice(['c', c])};",
+        f"init(p) := {pq};", "next(p) := q;",
+        f"init(q) := {pq};", "next(q) := p;",
+        "init(r) := FALSE;",
+        f"next(r) := {rng.choice(['r | b', 'case b : TRUE; TRUE : r; esac'])};",
+        "init(s) := FALSE;", "next(s) := s | r;",
+        f"init(a) := {rng.choice(['{k, 0}', '{0, k}', 'case c : {k, 3}; TRUE : {k, 0}; esac'])};",
+        f"next(a) := {rng.choice(['a', '{a, k}', 'a + k', 'case c : k; TRUE : a; esac'])};",
+        f"init(n) := {rng.choice(['0', '{0, 1}'])};",
+        f"next(n) := {rng.choice(['n + k', '{n, k - 2}', 'case b : n + k; TRUE : n; esac'])};",
+    ]
+    unpinned = {"r", "s", "a"}
+    if rng.random() < 0.1:
+        decls.append("x : 0..2;")
+        rules += ["init(x) := 3;", "next(x) := x;"]
+        unpinned.add("x")
+    rng.shuffle(decls)
+    rng.shuffle(rules)
+    # a before k and b: a's init reads k, so a branches after b; in the
+    # slice a reads no variable, and would branch before b if let
+    slots = sorted(decls.index(d) for d in ("a : 0..3;", "k : 0..3;", "b : boolean;"))
+    decls[slots[0]] = "a : 0..3;"
+    decls[slots[1]], decls[slots[2]] = rng.sample(["k : 0..3;", "b : boolean;"], 2)
+    lines = ["MODULE main", "VAR"] + [f"  {d}" for d in decls] + ["ASSIGN"]
+    lines += [f"  {r}" for r in rules]
+    return "\n".join(lines) + "\n", {"k", "c", "p", "q"}, unpinned

@@ -1,4 +1,5 @@
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +11,12 @@ from fsmcheck.checker import (
 )
 from fsmcheck.lang import parse_model, validate_model
 from fsmcheck.ltl import PrefixVerdict, parse_ltl
-from fsmcheck.semantics import State, Trace, elaborate
+from fsmcheck.checker.deps import sequential_constants
+from fsmcheck.semantics import State, Trace, elaborate, trace_to_text
 
 from helpers import (
-    int_model_atoms, random_bool_model, random_future_formula, random_int_model,
-    random_past_formula,
+    int_model_atoms, random_bool_model, random_constant_model, random_future_formula,
+    random_int_model, random_past_formula,
 )
 
 COUNTER = """
@@ -239,13 +241,16 @@ def _assert_matches_oracle(ts, src, text, rng):
     every counterexample replays to VIOLATED."""
     f = parse_ltl(text, ts)
     task = CheckTask(ts, f, bound_k=rng.randrange(0, 4))
-    fast = check_bounded(task)
+    _assert_agrees_with_oracle(task, check_bounded(task), f"{text}, k={task.bound_k}\n{src}")
+
+
+def _assert_agrees_with_oracle(task, fast, case):
     slow = brute_force_check(task)
-    case = f"{text}, k={task.bound_k}\n{src}\n{fast} vs {slow}"
+    case = f"{case}\n{fast} vs {slow}"
     assert type(fast) is type(slow), case
     if isinstance(fast, Counterexample):
         assert fast.violation_step == slow.violation_step, case
-        assert replay_counterexample(ts, fast.trace, f) is PrefixVerdict.VIOLATED
+        assert replay_counterexample(task.ts, fast.trace, task.formula) is PrefixVerdict.VIOLATED
     if isinstance(fast, NoCounterexampleWithinBound):
         assert fast.all_paths_decided == slow.all_paths_decided, case
     if isinstance(fast, ModelError):
@@ -264,3 +269,86 @@ ASSIGN
     trace = Trace(tuple(State((t,), ts) for t in (0, 1, 2, 0)))
     with pytest.raises(InvalidTrace):
         replay_counterexample(ts, trace, parse_ltl("G t < 2", ts))
+
+
+def _unsliced_check(task):
+    """check_bounded with no variable taken for a sequential constant."""
+    with patch("fsmcheck.checker.core.sequential_constants", return_value={}):
+        return check_bounded(task)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_slicing_matches_unsliced_check(seed):
+    """Leaving the sequential constants out changes nothing in a verdict,
+    and the oracle agrees with it."""
+    rng = random.Random(seed)
+    src, pinned, unpinned = random_constant_model(rng)
+    ts = build(src)
+    consts = {ts.variables[i].name for i in sequential_constants(ts)}
+    assert pinned <= consts and not unpinned & consts, src
+    atoms = int_model_atoms(ts)
+    pick = rng.randrange(3)
+    if pick == 0:
+        # violated first by whichever initial state comes first, of those
+        # that a and b single out: it depends on the order they branch in
+        a_atom = rng.choice([x for x in atoms if x.startswith("(a ")])
+        text = f"G !({a_atom} | {rng.choice(['b', '!b'])})"
+    else:
+        make = random_past_formula if pick == 1 else random_future_formula
+        text = make(rng, atoms, rng.randrange(1, 4))
+    f = parse_ltl(text, ts)
+    task = CheckTask(ts, f, bound_k=rng.randrange(0, 4))
+    sliced = check_bounded(task)
+    unsliced = _unsliced_check(task)
+    case = f"{text}, k={task.bound_k}\n{src}"
+    # the verdicts compare every field: the step, the trace's values, the
+    # decided flag, the model error's step and detail
+    assert sliced == unsliced, f"{case}\n{sliced} vs {unsliced}"
+    if isinstance(sliced, Counterexample):
+        assert trace_to_text(sliced.trace) == trace_to_text(unsliced.trace), case
+    _assert_agrees_with_oracle(task, sliced, case)
+
+
+SLICED = """
+MODULE main
+VAR a : 0..3; k : 0..3; c : boolean; n : 0..1;
+ASSIGN
+  init(k) := 2; next(k) := k;
+  init(a) := {k, 0}; next(a) := a;
+  next(c) := c;
+  init(n) := 0; next(n) := n + k;
+"""
+
+
+def test_sliced_initial_states_keep_the_unsliced_order():
+    # a's init reads k, declared after it, so a branches after c
+    ts = build(SLICED)
+    assert sequential_constants(ts) == {ts.index["k"]: 2}
+    verdict = check_bounded(CheckTask(ts, parse_ltl("G !(c | a = 0)", ts), bound_k=3))
+    assert isinstance(verdict, Counterexample)
+    assert verdict.violation_step == 0
+    assert verdict.trace[0].as_dict() == {"a": 0, "k": 2, "c": False, "n": 0}
+
+
+def test_sliced_model_error_quotes_the_unsliced_rule():
+    ts = build(SLICED)
+    verdict = check_bounded(CheckTask(ts, parse_ltl("G a < 3", ts), bound_k=3))
+    assert isinstance(verdict, ModelError)
+    assert verdict.step == 1
+    assert verdict.detail.endswith("offending rule: (n + k)")
+
+
+def test_constant_atom_is_decided_by_the_state_that_reads_it():
+    # X FALSE is violated by the second state, not by the first one
+    ts = build("MODULE main\nVAR c : boolean;\nASSIGN\n  init(c) := FALSE;\n  next(c) := c;\n")
+    for text in ("X FALSE", "X c", "X TRUE"):
+        f = parse_ltl(text, ts)
+        for k in (0, 1, 2):
+            task = CheckTask(ts, f, bound_k=k)
+            fast, slow = check_bounded(task), brute_force_check(task)
+            assert type(fast) is type(slow), (text, k)
+            if isinstance(fast, Counterexample):
+                assert fast.violation_step == slow.violation_step == 1, (text, k)
+            else:
+                assert fast.all_paths_decided == slow.all_paths_decided, (text, k)

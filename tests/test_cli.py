@@ -69,6 +69,11 @@ def test_check_print_deps(bundle_dir, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "variable dependencies" in out
+    # the template pins every failure axis FALSE
+    assert "  f_pwr_a <- (none)  [constant FALSE]" in out.splitlines()
+    mode = next(line for line in out.splitlines() if line.startswith("  Mode <- "))
+    assert "constant" not in mode
+    assert "sequential constants, left out before checking: " in out
 
 
 def test_batch_cli_range(bundle_dir, tmp_path, capsys):
