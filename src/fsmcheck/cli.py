@@ -1,6 +1,6 @@
 """Command line interface.
 
-    fsmcheck gen-vcs   --out DIR [--desk|--full] [--ecus N] [--buses B] [--mutant NAME]
+    fsmcheck gen-vcs   --out DIR [--desk|--full] [--mutant NAME]
     fsmcheck batch     --template F --failures F --matrix F --specs F
                        [--range r1 c1 r2 c2 | --singles | --full] [--workers W]
                        [--bound K] [--timeout SECS] [--window LO HI] [--out DIR]
@@ -27,13 +27,14 @@ from .driver import (
     load_target_matrix, parse_spec_file, plan_batch, run_batch, write_report,
 )
 from .driver.catalog import FATAL
-from .lang import ParseError, parse_model, validate_model
+from .lang import ParseError, parse_model
 from .ltl import PastEliminationError, PrefixVerdict, parse_ltl
 from .semantics import (
     ElaborationError, ModelStepError, elaborate, first_choice,
     seeded_random_chooser, simulate, trace_to_text,
 )
 from .vcs import VcsConfig, generate_vcs_model
+from .vcs.generate import MUTANTS
 
 
 def main(argv=None) -> int:
@@ -41,7 +42,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ElaborationError, ModelStepError, FileNotFoundError,
+    except ElaborationError as err:
+        for d in err.diagnostics:
+            print(f"error: {err.source_name}: {d}", file=sys.stderr)
+        return 2
+    except (ParseError, ModelStepError, FileNotFoundError,
             InstantiationError, SpecFileError, CatalogError, MatrixError,
             PlanRangeError, PastEliminationError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -57,9 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     size = gen.add_mutually_exclusive_group()
     size.add_argument("--desk", action="store_true", help="4 ECUs, 1 bus (default)")
     size.add_argument("--full", action="store_true", help="7 ECUs, 3 buses, 42 axes")
-    gen.add_argument("--ecus", type=int, default=None)
-    gen.add_argument("--buses", type=int, default=None)
-    gen.add_argument("--mutant", default="none")
+    gen.add_argument("--mutant", choices=MUTANTS, default="none")
     gen.set_defaults(func=cmd_gen_vcs)
 
     batch = sub.add_parser("batch", help="run a failure-combination batch")
@@ -72,9 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="1-based inclusive pair range, rows = first failure")
     sel.add_argument("--singles", action="store_true")
     sel.add_argument("--full", action="store_true")
-    batch.add_argument("--workers", type=int, default=1)
+    batch.add_argument("--workers", type=_positive_int, default=1)
     batch.add_argument("--bound", type=_non_negative_int, default=70)
-    batch.add_argument("--timeout", type=float, default=900.0,
+    batch.add_argument("--timeout", type=_positive_float, default=900.0,
                        help="wall-clock budget per (combination, spec) unit")
     batch.add_argument("--window", nargs=2, type=int, default=(15, 40),
                        metavar=("LO", "HI"), help="failure activation window")
@@ -87,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--specs", help="spec catalog file for --prop")
     check.add_argument("--formula", help="literal spec text")
     check.add_argument("--bound", type=_non_negative_int, default=70)
-    check.add_argument("--timeout", type=float, default=None)
+    check.add_argument("--timeout", type=_positive_float, default=None)
     check.add_argument("--trace-out", default=None)
     check.add_argument("--print-deps", action="store_true",
                        help="print the variable-dependency graph and the "
@@ -110,24 +113,27 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
 def _load_system(path):
-    model = parse_model(Path(path).read_text())
-    errors = [d for d in validate_model(model) if d.severity == "error"]
-    if errors:
-        for d in errors:
-            print(f"error: {path}: {d}", file=sys.stderr)
-        return None
-    return elaborate(model, source_name=str(path))
+    return elaborate(parse_model(Path(path).read_text()), source_name=str(path))
 
 
 def cmd_gen_vcs(args) -> int:
-    overrides = {}
-    if args.ecus is not None:
-        overrides["n_ecus"] = args.ecus
-    if args.buses is not None:
-        overrides["n_buses"] = args.buses
-    overrides["mutant"] = args.mutant
-    cfg = VcsConfig.full(**overrides) if args.full else VcsConfig.desk(**overrides)
+    config = VcsConfig.full if args.full else VcsConfig.desk
+    cfg = config(mutant=args.mutant)
     bundle = generate_vcs_model(cfg)
     paths = bundle.write(args.out)
     for kind, path in paths.items():
@@ -137,8 +143,6 @@ def cmd_gen_vcs(args) -> int:
 
 def cmd_batch(args) -> int:
     ts = _load_system(args.template)
-    if ts is None:
-        return 2
     catalog = load_failure_catalog(args.failures)
     modes = ts.symbol_universe()
     matrix = load_target_matrix(args.matrix, catalog, modes=modes)
@@ -196,8 +200,6 @@ def _probe_mode(matrix) -> str:
 
 def cmd_check(args) -> int:
     ts = _load_system(args.model)
-    if ts is None:
-        return 2
     if args.print_deps:
         print(format_dependency_report(ts))
     if args.formula:
@@ -247,8 +249,6 @@ def cmd_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     ts = _load_system(args.model)
-    if ts is None:
-        return 2
     chooser = first_choice if args.seed is None else seeded_random_chooser(args.seed)
     try:
         trace = simulate(ts, args.steps, chooser)

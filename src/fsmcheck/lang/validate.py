@@ -1,19 +1,29 @@
-"""Static validation of parsed models.
+"""Static checks and flattening of parsed models, in one walk.
 
-Produces diagnostics instead of raising: an empty list means the model is
-well-formed and ready for elaboration. Name resolution and type checking
-walk the instance tree from main so that parameter aliasing (including
-instances passed as arguments) is checked the way elaboration will bind it.
+`bind_model` checks each module on its own (module table, names, enum
+symbols, rule targets, choice positions, case defaults, the instantiation
+graph) and then walks the instance tree from main once. The walk binds each
+instance's parameters (an argument that names an instance is an alias for
+it) and resolves each expression once, to its flat `FExpr` and its type
+together. It reports what it finds as diagnostics instead of raising.
+
+`validate_model` returns those diagnostics, and `semantics.elaborate`
+returns the flat system or raises on them, so an empty error list means the
+model elaborates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from ..semantics.system import (
+    BoolDomain, Const, Domain, EnumDomain, FBinary, FCase, FChoice, FExpr,
+    FUnary, IntDomain, TransitionSystem, VarDef, VarRef, fold,
+)
 from .ast import (
-    AssignRule, Binary, BoolLit, BoolType, Case, DefineDecl, EnumType, Expr,
-    InstanceDecl, IntLit, ModelAst, ModuleDecl, Name, RangeType, SetLit, Span,
-    Unary, VarType,
+    Binary, BoolLit, BoolType, Case, DefineDecl, EnumType, Expr, IntLit,
+    ModelAst, ModuleDecl, Name, RangeType, SetLit, Span, Unary, VarDecl,
+    VarType,
 )
 
 
@@ -41,8 +51,16 @@ def _enum(symbols: Optional[frozenset]) -> tuple:
 
 
 def validate_model(ast: ModelAst) -> list[Diagnostic]:
+    """The model's diagnostics; with no error among them, it elaborates."""
+    return bind_model(ast)[0]
+
+
+def bind_model(
+    ast: ModelAst, source_name: str = "<model>",
+) -> tuple[list[Diagnostic], Optional[TransitionSystem]]:
+    """The model's diagnostics, and its flat system if none is an error."""
     v = _Validator(ast)
-    v.run()
+    ts = v.run(source_name)
     # Instantiating a module twice re-checks it under each binding; drop
     # exact repeats so one syntactic defect reports once per context only.
     seen = set()
@@ -52,7 +70,7 @@ def validate_model(ast: ModelAst) -> list[Diagnostic]:
         if key not in seen:
             seen.add(key)
             out.append(d)
-    return out
+    return out, ts
 
 
 class _Validator:
@@ -61,21 +79,36 @@ class _Validator:
         self.diags: list[Diagnostic] = []
         self.modules: dict[str, ModuleDecl] = {}
         self.symbols: set[str] = set()
+        self.scopes: list[_Scope] = []  # every instance, in pre-order
+        self.n_vars = 0
+        self.active: set[tuple] = set()  # defines being resolved
 
     def error(self, code: str, message: str, span: Optional[Span] = None) -> None:
         self.diags.append(Diagnostic("error", code, message, span))
 
-    def run(self) -> None:
+    def run(self, source_name: str) -> Optional[TransitionSystem]:
         self._check_module_table()
         for mod in self.ast.modules:
             self._check_module_locals(mod)
-        if self._check_instance_graph():
-            main = self.ast.main
-            if main is not None and main.params:
-                self.error("main-params", "module main must have no parameters", main.span)
-            if main is not None:
-                ctx = _Ctx(main, "main", {})
-                self._bind_instance(ctx, set())
+        main = self.ast.main
+        if not self._check_instance_graph() or main is None:
+            return None
+        if main.params:
+            self.error("main-params", "module main must have no parameters", main.span)
+        self._bind(self._scope(main, ""))
+        if any(d.severity == "error" for d in self.diags):
+            return None
+        variables, defines = [], {}
+        for scope in self.scopes:
+            for v in scope.module.vars:
+                variables.append(VarDef(
+                    scope.qualify(v.name), scope.domains[v.name],
+                    init=scope.rules.get(("init", v.name)),
+                    next=scope.rules.get(("next", v.name)),
+                ))
+            for d in scope.module.defines:
+                defines[scope.qualify(d.name)] = scope.resolved[d.name][0]
+        return TransitionSystem(tuple(variables), defines=defines, source_name=source_name)
 
     # -- module table and per-module syntactic checks --------------------
 
@@ -236,78 +269,89 @@ class _Validator:
 
     # -- binding walk ------------------------------------------------------
 
-    def _bind_instance(self, ctx: "_Ctx", define_stack: set) -> None:
-        mod = ctx.module
-        # child contexts first so dotted lookups can reach into them
-        for inst in mod.instances:
+    def _scope(self, module: ModuleDecl, path: str) -> "_Scope":
+        """The instance tree under module; variables are numbered in
+        pre-order, which is the order of the flat system."""
+        scope = _Scope(module, path)
+        self.scopes.append(scope)
+        for v in module.vars:
+            scope.vars[v.name] = (self.n_vars, v.vartype)
+            self.n_vars += 1
+        for inst in module.instances:
             target = self.modules.get(inst.module)
-            if target is None or len(inst.args) != len(target.params):
-                continue
-            args: dict[str, "_Arg"] = {}
-            for pname, aexpr in zip(target.params, inst.args):
-                alias = self._resolve_alias(ctx, aexpr)
-                if alias is not None:
-                    args[pname] = _Arg("alias", alias=alias)
-                else:
-                    args[pname] = _Arg("value", expr=aexpr, ctx=ctx)
-            child = _Ctx(target, f"{ctx.path}.{inst.name}", args)
-            ctx.children[inst.name] = child
-        for inst_name, child in ctx.children.items():
-            self._bind_instance(child, define_stack)
+            if target is not None and len(inst.args) == len(target.params):
+                scope.children[inst.name] = self._scope(target, scope.qualify(inst.name))
+        return scope
 
-        for d in mod.defines:
-            self._type_define(ctx, d, define_stack)
-        for rule in mod.assigns:
-            var = next((v for v in mod.vars if v.name == rule.target), None)
+    def _bind(self, scope: "_Scope") -> None:
+        for inst in scope.module.instances:
+            child = scope.children.get(inst.name)
+            if child is None:
+                continue
+            for pname, arg in zip(child.module.params, inst.args):
+                alias = self._name(scope, arg, alias=True) if isinstance(arg, Name) else None
+                child.params[pname] = alias if alias is not None else (arg, scope)
+            self._bind(child)
+        for d in scope.module.defines:
+            self._define(scope, d)
+        for rule in scope.module.assigns:
+            var = scope.vars.get(rule.target)
             if var is None:
                 continue
-            rhs_t = self._type_rule_expr(ctx, rule.expr, define_stack)
-            self._check_assign_compat(var.name, var.vartype, rhs_t, rule.span)
-        for v in mod.vars:
-            if isinstance(v.vartype, RangeType):
-                for bound in (v.vartype.lo, v.vartype.hi):
-                    t = self._type_expr(ctx, bound, define_stack)
-                    if t[0] not in ("int", "error"):
-                        self.error(
-                            "range-bound-type",
-                            f"range bound of {v.name!r} must be an integer expression",
-                            v.span,
-                        )
+            flat, t = self._expr(scope, rule.expr)
+            self._check_assign_compat(rule.target, var[1], t, rule.span)
+            scope.rules[(rule.kind, rule.target)] = flat
+        for v in scope.module.vars:
+            scope.domains[v.name] = self._domain(scope, v)
 
-    def _resolve_alias(self, ctx: "_Ctx", expr: Expr) -> Optional["_Ctx"]:
-        """If expr names an instance (directly, via a param alias, or via a
-        dotted path), return that instance's context."""
-        if not isinstance(expr, Name):
-            return None
-        cur: Optional[_Ctx] = ctx
-        for i, part in enumerate(expr.parts):
-            if cur is None:
-                return None
-            entry = cur.lookup(part)
-            if entry is None:
-                return None
-            kind, payload = entry
-            if kind == "instance":
-                cur = payload
-            elif kind == "param" and payload.kind == "alias":
-                cur = payload.alias
+    def _domain(self, scope: "_Scope", decl: VarDecl) -> Optional[Domain]:
+        vt = decl.vartype
+        if isinstance(vt, BoolType):
+            return BoolDomain()
+        if isinstance(vt, EnumType):
+            return EnumDomain(vt.symbols)
+        qualified = scope.qualify(decl.name)
+        bounds = []
+        for bound in (vt.lo, vt.hi):
+            flat, t = self._expr(scope, bound)
+            if t[0] not in ("int", "error"):
+                self.error(
+                    "range-bound-type",
+                    f"range bound of {decl.name!r} must be an integer expression",
+                    decl.span,
+                )
+            if t[0] == "error":
+                continue
+            value = fold(flat)
+            if isinstance(value, Const) and type(value.value) is int:
+                bounds.append(value.value)
             else:
-                return None
-        return cur
+                self.error(
+                    "range-bound-const",
+                    f"range bound of {qualified!r} does not resolve to an integer constant",
+                    decl.span,
+                )
+        if len(bounds) < 2:
+            return None
+        lo, hi = bounds
+        if lo > hi:
+            self.error("range-empty", f"range for {qualified!r} is empty ({lo}..{hi})", decl.span)
+            return None
+        return IntDomain(lo, hi)
 
-    def _type_define(self, ctx: "_Ctx", d: DefineDecl, stack: set) -> tuple:
-        key = (id(ctx), d.name)
-        if key in ctx.define_types:
-            return ctx.define_types[key]
-        if key in stack:
+    def _define(self, scope: "_Scope", d: DefineDecl) -> tuple:
+        done = scope.resolved.get(d.name)
+        if done is not None:
+            return done
+        key = (scope, d.name)
+        if key in self.active:
             self.error("define-cycle", f"combinational cycle through define {d.name!r}", d.span)
-            ctx.define_types[key] = _ERROR
-            return _ERROR
-        stack.add(key)
-        t = self._type_expr(ctx, d.expr, stack)
-        stack.discard(key)
-        ctx.define_types[key] = t
-        return t
+            scope.resolved[d.name] = _FAILED
+            return _FAILED
+        self.active.add(key)
+        out = scope.resolved[d.name] = self._expr(scope, d.expr)
+        self.active.discard(key)
+        return out
 
     def _check_assign_compat(self, name: str, vt: VarType, rhs: tuple, span) -> None:
         kind = rhs[0]
@@ -330,17 +374,6 @@ class _Validator:
                         span,
                     )
 
-    def _type_rule_expr(self, ctx: "_Ctx", expr: Expr, stack: set) -> tuple:
-        if isinstance(expr, SetLit):
-            ts = [self._type_rule_expr(ctx, item, stack) for item in expr.items]
-            return self._join(ts, expr.span)
-        if isinstance(expr, Case):
-            for arm in expr.arms:
-                self._require_bool(ctx, arm.guard, stack)
-            ts = [self._type_rule_expr(ctx, arm.result, stack) for arm in expr.arms]
-            return self._join(ts, expr.span)
-        return self._type_expr(ctx, expr, stack)
-
     def _join(self, ts: list[tuple], span) -> tuple:
         kinds = {t[0] for t in ts if t[0] != "error"}
         if not kinds:
@@ -359,41 +392,43 @@ class _Validator:
             return _enum(frozenset(syms))
         return (kind, None)
 
-    def _require_bool(self, ctx: "_Ctx", expr: Expr, stack: set) -> None:
-        t = self._type_expr(ctx, expr, stack)
+    def _guard(self, scope: "_Scope", expr: Expr) -> FExpr:
+        flat, t = self._expr(scope, expr)
         if t[0] not in ("bool", "error"):
             self.error("guard-type", "guard must be boolean", _span_of(expr))
+        return flat
 
-    def _type_expr(self, ctx: "_Ctx", expr: Expr, stack: set) -> tuple:
+    def _expr(self, scope: "_Scope", expr: Expr) -> tuple[FExpr, tuple]:
+        """expr resolved in scope: its flat expression and its type."""
         if isinstance(expr, BoolLit):
-            return _BOOL
+            return Const(expr.value), _BOOL
         if isinstance(expr, IntLit):
-            return _INT
+            return Const(expr.value), _INT
         if isinstance(expr, Name):
-            return self._type_name(ctx, expr, stack)
+            return self._name(scope, expr)
         if isinstance(expr, Unary):
-            t = self._type_expr(ctx, expr.operand, stack)
+            operand, t = self._expr(scope, expr.operand)
             want = "bool" if expr.op == "!" else "int"
             if t[0] not in (want, "error"):
                 self.error("op-type", f"operator {expr.op!r} needs {want}, got {t[0]}", expr.span)
-                return _ERROR
-            return _BOOL if want == "bool" else _INT
+                return _FAILED
+            return FUnary(expr.op, operand), (_BOOL if want == "bool" else _INT)
         if isinstance(expr, Binary):
-            return self._type_binary(ctx, expr, stack)
+            left, lt = self._expr(scope, expr.left)
+            right, rt = self._expr(scope, expr.right)
+            return FBinary(expr.op, left, right), self._type_binary(expr, lt, rt)
         if isinstance(expr, Case):
-            for arm in expr.arms:
-                self._require_bool(ctx, arm.guard, stack)
-            ts = [self._type_expr(ctx, arm.result, stack) for arm in expr.arms]
-            return self._join(ts, expr.span)
+            guards = [self._guard(scope, arm.guard) for arm in expr.arms]
+            results = [self._expr(scope, arm.result) for arm in expr.arms]
+            arms = tuple((g, flat) for g, (flat, _) in zip(guards, results))
+            return FCase(arms), self._join([t for _, t in results], expr.span)
         if isinstance(expr, SetLit):
             # position errors are reported by _check_choice_positions
-            ts = [self._type_expr(ctx, item, stack) for item in expr.items]
-            return self._join(ts, expr.span)
+            items = [self._expr(scope, item) for item in expr.items]
+            return FChoice(tuple(flat for flat, _ in items)), self._join([t for _, t in items], expr.span)
         raise TypeError(f"unknown expression node {expr!r}")
 
-    def _type_binary(self, ctx: "_Ctx", expr: Binary, stack: set) -> tuple:
-        lt = self._type_expr(ctx, expr.left, stack)
-        rt = self._type_expr(ctx, expr.right, stack)
+    def _type_binary(self, expr: Binary, lt: tuple, rt: tuple) -> tuple:
         op = expr.op
         if op in ("&", "|", "->"):
             for t, side in ((lt, expr.left), (rt, expr.right)):
@@ -421,45 +456,49 @@ class _Validator:
                 self.error("cmp-type", "enum comparison can never hold (disjoint symbols)", expr.span)
         return _BOOL
 
-    def _type_name(self, ctx: "_Ctx", name: Name, stack: set) -> tuple:
-        cur: _Ctx = ctx
+    def _name(self, scope: "_Scope", name: Name, alias: bool = False):
+        """Resolve a plain or dotted name in scope, to (flat, type). With
+        alias=True, return the instance the name denotes, or None (and
+        report nothing) if it denotes none."""
+        cur = scope
         for i, part in enumerate(name.parts):
             last = i == len(name.parts) - 1
-            entry = cur.lookup(part)
-            if entry is None:
-                if last and len(name.parts) == 1 and part in self.symbols:
-                    return _enum(frozenset([part]))
-                self.error("unresolved", f"unresolved identifier {name.text!r}", name.span)
-                return _ERROR
-            kind, payload = entry
-            if kind == "var":
-                if not last:
-                    self.error("not-instance", f"{part!r} is a variable, not an instance", name.span)
-                    return _ERROR
-                return _type_of_var(payload)
-            if kind == "define":
-                if not last:
-                    self.error("not-instance", f"{part!r} is a define, not an instance", name.span)
-                    return _ERROR
-                return self._type_define(cur, payload, stack)
+            kind, found = cur.lookup(part)
             if kind == "instance":
-                if last:
-                    self.error("instance-value", f"instance {part!r} used as a value", name.span)
-                    return _ERROR
-                cur = payload
-            elif kind == "param":
-                arg: _Arg = payload
-                if arg.kind == "alias":
-                    if last:
-                        self.error("instance-value", f"instance {part!r} used as a value", name.span)
-                        return _ERROR
-                    cur = arg.alias
-                else:
-                    if not last:
-                        self.error("not-instance", f"parameter {part!r} is not an instance", name.span)
-                        return _ERROR
-                    return self._type_expr(arg.ctx, arg.expr, stack)
-        return _ERROR
+                if not last:
+                    cur = found
+                    continue
+                if alias:
+                    return found
+                self.error("instance-value", f"instance {part!r} used as a value", name.span)
+                return _FAILED
+            if alias:
+                return None
+            if kind is None:
+                if last and len(name.parts) == 1 and part in self.symbols:
+                    return Const(part), _enum(frozenset([part]))
+                self.error("unresolved", f"unresolved identifier {name.text!r}", name.span)
+                return _FAILED
+            if not last:
+                what = {
+                    "var": f"{part!r} is a variable,",
+                    "define": f"{part!r} is a define,",
+                    "param": f"parameter {part!r} is",
+                }[kind]
+                self.error("not-instance", f"{what} not an instance", name.span)
+                return _FAILED
+            if kind == "var":
+                index, vartype = found
+                return VarRef(index, cur.qualify(part)), _type_of_var(vartype)
+            if kind == "define":
+                return self._define(cur, found)
+            arg, owner = found
+            return self._expr(owner, arg)
+
+
+# What an expression that did not resolve stands for; a model with any error
+# diagnostic gets no system, so the placeholder never reaches one.
+_FAILED = (Const(False), _ERROR)
 
 
 def _type_of_var(vt: VarType) -> tuple:
@@ -476,35 +515,32 @@ def _span_of(expr: Expr) -> Optional[Span]:
     return getattr(expr, "span", None)
 
 
-@dataclass
-class _Arg:
-    kind: str  # "value" | "alias"
-    expr: Optional[Expr] = None
-    ctx: Optional["_Ctx"] = None
-    alias: Optional["_Ctx"] = None
+class _Scope:
+    """One instance of a module, and what the walk resolved in it."""
 
-
-class _Ctx:
-    def __init__(self, module: ModuleDecl, path: str, args: dict[str, _Arg]):
+    def __init__(self, module: ModuleDecl, path: str):
         self.module = module
         self.path = path
-        self.args = args
-        self.children: dict[str, "_Ctx"] = {}
-        self.define_types: dict[tuple, tuple] = {}
-        self._vars = {v.name: v.vartype for v in module.vars}
-        self._defines = {d.name: d for d in module.defines}
-        self._instances = {i.name for i in module.instances}
+        self.vars: dict[str, tuple[int, VarType]] = {}  # name -> (flat index, type)
+        self.defines = {d.name: d for d in module.defines}
+        self.children: dict[str, _Scope] = {}
+        # parameter -> the instance it aliases, or (argument, caller scope)
+        self.params: dict[str, Union[_Scope, tuple[Expr, _Scope]]] = {}
+        self.resolved: dict[str, tuple[FExpr, tuple]] = {}  # define -> (flat, type)
+        self.rules: dict[tuple[str, str], FExpr] = {}
+        self.domains: dict[str, Optional[Domain]] = {}
 
-    def lookup(self, name: str):
-        if name in self._vars:
-            return ("var", self._vars[name])
-        if name in self._defines:
-            return ("define", self._defines[name])
-        if name in self._instances:
-            child = self.children.get(name)
-            if child is None:
-                return None
-            return ("instance", child)
-        if name in self.args:
-            return ("param", self.args[name])
-        return None
+    def qualify(self, local: str) -> str:
+        return f"{self.path}.{local}" if self.path else local
+
+    def lookup(self, name: str) -> tuple[Optional[str], object]:
+        if name in self.vars:
+            return "var", self.vars[name]
+        if name in self.defines:
+            return "define", self.defines[name]
+        if name in self.children:
+            return "instance", self.children[name]
+        bound = self.params.get(name)
+        if bound is None:
+            return None, None
+        return ("instance" if isinstance(bound, _Scope) else "param"), bound

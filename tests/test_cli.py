@@ -199,14 +199,34 @@ def test_input_errors_exit_two_without_traceback(bundle_dir, tmp_path, capsys):
         assert code == 2, argv
         assert any(line.startswith("error: ") for line in err.splitlines()), (argv, err)
     model = str(bundle_dir / "vcs.fsm")
-    for argv, option in (
-        (batch + ["--range", "1", "1", "1", "1", "--bound", "-1"], "--bound"),
-        (["check", model, "--formula", "TRUE", "--bound", "-1"], "--bound"),
-        (["simulate", model, "--steps", "-1"], "--steps"),
+    band = batch + ["--range", "1", "1", "1", "1"]
+    check = ["check", model, "--formula", "TRUE"]
+    for argv, option, message in (
+        (band + ["--bound", "-1"], "--bound", "must be >= 0"),
+        (check + ["--bound", "-1"], "--bound", "must be >= 0"),
+        (["simulate", model, "--steps", "-1"], "--steps", "must be >= 0"),
+        (band + ["--workers", "0"], "--workers", "must be >= 1"),
+        (band + ["--workers", "-2"], "--workers", "must be >= 1"),
+        (band + ["--timeout", "0"], "--timeout", "must be > 0"),
+        (band + ["--timeout", "-1"], "--timeout", "must be > 0"),
+        (check + ["--timeout", "0"], "--timeout", "must be > 0"),
+        (["gen-vcs", "--out", str(tmp_path / "gen"), "--mutant", "bogus"], "--mutant",
+         "invalid choice: 'bogus'"),
     ):
         with pytest.raises(SystemExit) as exited:
             main(argv)
         err = capsys.readouterr().err
         assert exited.value.code == 2, argv
-        assert f"argument {option}: must be >= 0" in err, (argv, err)
+        assert f"argument {option}: {message}" in err, (argv, err)
         assert "Traceback" not in err
+
+
+def test_check_reports_each_model_error(tmp_path, capsys):
+    bad = tmp_path / "bad.fsm"
+    bad.write_text("MODULE main VAR x : 5..2; y : boolean; ASSIGN init(y) := 3;")
+    code = main(["check", str(bad), "--formula", "TRUE"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert [line.split("]")[0] for line in err.splitlines()] == [
+        f"error: {bad}: error[assign-type", f"error: {bad}: error[range-empty"]
+    assert "Traceback" not in err

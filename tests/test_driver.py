@@ -260,14 +260,17 @@ def test_flat_builder_rejects_bad_window(variables, window, match):
         instance_system(template, small_task(*variables), window)
 
 
-@pytest.mark.parametrize("axis, edit", [
-    ("f_ghost", None),
-    ("f_b", ("f_b : boolean;", "f_b : 0..3;")),
-    ("f_b", ("init(f_b) := FALSE;", "init(f_b) := TRUE;")),
-    ("f_b", ("next(f_b) := FALSE;", "next(f_b) := f_a;")),
+@pytest.mark.parametrize("axis, edits", [
+    ("f_ghost", ()),
+    ("f_b", (("f_b : boolean;", "f_b : 0..3;"), ("(f_b) := FALSE;", "(f_b) := 0;"))),
+    ("f_b", (("init(f_b) := FALSE;", "init(f_b) := TRUE;"),)),
+    ("f_b", (("next(f_b) := FALSE;", "next(f_b) := f_a;"),)),
 ], ids=["absent", "not-boolean", "init-not-pinned", "next-not-pinned"])
-def test_flat_builder_rejects_unpinned_axis(axis, edit):
-    template = elaborate(parse_model(SMALL.replace(*edit) if edit else SMALL))
+def test_flat_builder_rejects_unpinned_axis(axis, edits):
+    text = SMALL
+    for edit in edits:
+        text = text.replace(*edit)
+    template = elaborate(parse_model(text))
     with pytest.raises(InstantiationError, match="pinned FALSE"):
         instance_system(template, small_task("f_a", axis), (15, 40))
 

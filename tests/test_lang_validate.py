@@ -1,5 +1,12 @@
+import random
+
+import pytest
+
 from fsmcheck.lang import parse_model, validate_model
 from fsmcheck.lang import ast
+from fsmcheck.semantics import ElaborationError, elaborate
+
+from helpers import random_model
 
 
 def errors(model_src):
@@ -223,3 +230,60 @@ ASSIGN
   next(x) := h.y;
 """
     assert errors(src) == []
+
+
+def test_range_bound_must_be_constant():
+    src = """
+MODULE main
+VAR
+  y : 0..3;
+  x : 0..y;
+"""
+    assert "range-bound-const" in codes(src)
+    with pytest.raises(ElaborationError, match="constant"):
+        elaborate(parse_model(src))
+
+
+def test_empty_range():
+    src = "MODULE main VAR x : 5..2;"
+    assert "range-empty" in codes(src)
+    with pytest.raises(ElaborationError, match="empty"):
+        elaborate(parse_model(src))
+
+
+def test_instance_argument_may_name_a_later_or_nested_instance():
+    src = """
+MODULE glob
+DEFINE N := 3;
+
+MODULE outer
+VAR g : glob;
+
+MODULE helper(G)
+VAR y : 0..G.N;
+
+MODULE main
+VAR
+  h1 : helper(g);
+  h2 : helper(o.g);
+  g : glob;
+  o : outer;
+"""
+    assert errors(src) == []
+    ts = elaborate(parse_model(src))
+    assert [str(v.domain) for v in ts.variables] == ["0..3", "0..3"]
+
+
+def test_validation_and_elaboration_agree():
+    disagree = []
+    for seed in range(1000):
+        model = random_model(random.Random(seed))
+        rejected = bool([d for d in validate_model(model) if d.severity == "error"])
+        try:
+            elaborate(model)
+            raised = False
+        except ElaborationError:
+            raised = True
+        if rejected != raised:
+            disagree.append(seed)
+    assert disagree == []
