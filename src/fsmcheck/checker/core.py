@@ -1,26 +1,33 @@
-"""Bounded counterexample search.
+"""Bounded counterexample search over a shared state graph.
 
 The search runs over (state, obligation) pairs per depth: the obligation is
-the formula rewritten by progression through the states consumed so far,
-interned with top/bottom absorption so identical residuals merge. An
-obligation collapsing to bottom is exactly a Violated prefix verdict, and
-collapsing to top a Holds verdict, so the result contract matches direct
-three-valued evaluation while exploring deduplicated states instead of
-paths. Per-depth deduplication is sound for counterexample-completeness:
-a pair reached earlier has at least as much remaining bound as a later
-repeat.
+the formula rewritten by progression through the states consumed so far
+(Bacchus & Kabanza, AI 116, 2000), interned with top/bottom absorption so
+identical residuals merge. An obligation collapsing to bottom is exactly a
+Violated prefix verdict, and collapsing to top a Holds verdict, so the
+result contract matches direct three-valued evaluation while exploring
+deduplicated states instead of paths. Per-depth deduplication is sound for
+counterexample-completeness: a pair reached earlier has at least as much
+remaining bound as a later repeat.
 
-The search runs on the system sliced by `deps.slice_constants`: its
-sequential constants are left out, the other variables re-indexed, and the
-formula's atoms rewritten through the same substitution; past operators
-are eliminated on the sliced system. The constants hold in every reachable
-state, so the sliced search visits the projections of the unsliced
-search's states in the same order: initial states come in the unsliced
-system's init order, and a dropped variable would add only one candidate
-to each successor product. Each counterexample state is put back to full
-width, with the constants at their indices, before `project` builds the
-Trace, and a ModelError quotes the unsliced rule, so the verdict is the
-one the unsliced system gives.
+The states come from a `StateGraph` of the system sliced by
+`deps.slice_constants`: its sequential constants are left out, the other
+variables re-indexed, and the formula's atoms rewritten through the same
+substitution. The graph interns each sliced state as an int and memoizes
+its successors; it is built at the first check of a system and cached on
+it, so every spec checked on one instance shares one exploration, as in
+multi-property checking (Cabodi & Nocco, DATE 2011). The latches that
+past-operator elimination adds stay out of the graph: their next rules are
+one compiled function of the current state, whose value is appended to
+every successor, so a node of the search is (state id, latch values).
+
+The constants hold in every reachable state, so the sliced search visits
+the projections of the unsliced search's states in the same order: initial
+states come in the unsliced system's init order, and a dropped variable
+would add only one candidate to each successor product. Each
+counterexample state is put back to full width, with the constants at
+their indices, before the Trace is built, and a ModelError quotes the
+unsliced rule, so the verdict is the one the unsliced system gives.
 """
 from __future__ import annotations
 
@@ -31,8 +38,8 @@ from typing import Optional, Union
 from ..ltl import formula as F
 from ..ltl.past import eliminate_past
 from ..semantics.exec import ModelStepError, _emit, initial_states, next_values
-from ..semantics.system import FExpr, State, Trace, TransitionSystem
-from .deps import sequential_constants, slice_constants
+from ..semantics.system import FExpr, State, Trace, TransitionSystem, Value
+from .deps import ConstantSlice, sequential_constants, slice_constants
 
 
 @dataclass(frozen=True)
@@ -245,14 +252,88 @@ def _nnf(f: F.Formula, neg: bool, ob: _Obligations, atom_ids: dict) -> int:
     raise TypeError(f"past operator reached the progression engine: {f!r}")
 
 
-def _compile_atoms(atoms: list[FExpr]):
-    if not atoms:
+def _compile_tuple(name: str, items: list[str]):
+    """A function of a state tuple s returning the tuple of items, each a
+    Python expression over s."""
+    if not items:
         return lambda s: ()
-    body = ", ".join(f"bool({_emit(a)})" for a in atoms)
-    src = f"def _atoms(s):\n    return ({body},)\n"
+    src = f"def {name}(s):\n    return ({', '.join(items)},)\n"
     ns: dict = {}
-    exec(compile(src, "<atoms>", "exec"), ns)
-    return ns["_atoms"]
+    exec(compile(src, f"<{name}>", "exec"), ns)
+    return ns[name]
+
+
+# --- the shared state graph -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Poison:
+    """A poisoned step, as data: var's rule gave value, outside its domain."""
+
+    var: str
+    value: Value
+
+
+class StateGraph:
+    """The reachable states of a sliced system, explored on demand.
+
+    A state is interned as an int, its id, when it is first reached. Each
+    id's successor ids are memoized in the kernel's lexicographic order; a
+    poisoned step is memoized as its Poison. Every check of the system the
+    graph is cached on reads and extends the same graph, so the kernel steps
+    each state at most once, whichever spec reaches it first.
+    """
+
+    def __init__(self, sliced: ConstantSlice):
+        self.sliced = sliced
+        self.values: list[tuple] = []  # id -> sliced value tuple
+        self._succ: list = []          # id -> successor ids, a Poison, or None
+        self._ids: dict[tuple, int] = {}
+        self._initial: Optional[tuple[tuple[int, ...], Optional[Poison]]] = None
+
+    def intern(self, values: tuple) -> int:
+        sid = self._ids.get(values)
+        if sid is None:
+            sid = self._ids[values] = len(self.values)
+            self.values.append(values)
+            self._succ.append(None)
+        return sid
+
+    def initial(self) -> tuple[tuple[int, ...], Optional[Poison]]:
+        """The initial state ids in the unsliced system's init order, and the
+        Poison of the init rule that cut the enumeration short, if any."""
+        if self._initial is None:
+            ids: list[int] = []
+            poison = None
+            try:
+                for s in initial_states(self.sliced.system, self.sliced.init_order):
+                    ids.append(self.intern(s.values))
+            except ModelStepError as err:
+                poison = Poison(err.var, err.value)
+            self._initial = (tuple(ids), poison)
+        return self._initial
+
+    def step(self, sid: int):
+        """sid's successor ids, or the Poison of its step."""
+        out = self._succ[sid]
+        if out is None:
+            try:
+                out = tuple(map(self.intern, next_values(self.sliced.system, self.values[sid])))
+            except ModelStepError as err:
+                out = Poison(err.var, err.value)
+            self._succ[sid] = out
+        return out
+
+
+def state_graph(ts: TransitionSystem) -> StateGraph:
+    """ts's state graph, built on its constant slice at the first call and
+    cached on ts."""
+    if ts._graph is None:
+        ts._graph = StateGraph(slice_constants(ts, sequential_constants(ts)))
+    return ts._graph
+
+
+# --- the search ---------------------------------------------------------------
 
 
 def check_bounded(task: CheckTask) -> Verdict:
@@ -267,94 +348,96 @@ def check_bounded(task: CheckTask) -> Verdict:
     within the bound is reported.
     """
     budget = TimeoutBudget(task.timeout)
-    sliced = slice_constants(task.ts, sequential_constants(task.ts))
+    graph = state_graph(task.ts)
+    sliced = graph.sliced
     formula, ts = eliminate_past(F.map_atoms(task.formula, sliced.rewrite), sliced.system)
+    latches = ts.variables[len(sliced.system.variables):]
+    latch0 = tuple(v.init.value for v in latches)
+    latch_fn = _compile_tuple("_latches", [_emit(v.next) for v in latches])
     atom_ids: dict[FExpr, int] = {}
     _collect_atoms(formula, atom_ids)
-    atoms = list(atom_ids)
-    ob = _Obligations(atoms)
+    ob = _Obligations(list(atom_ids))
     root = _nnf(formula, False, ob, atom_ids)
-    atom_fn = _compile_atoms(atoms)
-    # latches go last; their inits are constants, so where they branch is moot
-    init_order = sliced.init_order + list(range(len(sliced.system.variables),
-                                                len(ts.variables)))
+    atom_fn = _compile_tuple("_atoms", [f"bool({_emit(a)})" for a in atom_ids])
+    progress = ob.progress
+    values = graph.values
+    bits_of: dict[tuple, tuple] = {}  # node -> its atom bits
 
-    def project(values_chain: list[tuple]) -> Trace:
-        return Trace(tuple(State(sliced.expand(v), task.ts) for v in values_chain))
+    def project(chain: list[tuple]) -> Trace:
+        return Trace(tuple(State(sliced.expand(values[sid]), task.ts) for sid, _ in chain))
 
-    def unsliced(err: ModelStepError) -> str:
-        """err's message quoting the task's rule, not the folded one."""
-        v = task.ts.var(err.var)
-        return str(ModelStepError(err.var, err.value,
-                                  v.init if err.step == 0 else v.next, err.step))
+    def unsliced(p: Poison, at_init: bool) -> str:
+        """p's message, quoting the task's rule and not the folded one."""
+        v = task.ts.var(p.var)
+        if at_init:
+            return str(ModelStepError(p.var, p.value, v.init, 0))
+        return str(ModelStepError(p.var, p.value, v.next))
+
+    # a node is (state id, latch values); entries are (node, obligation,
+    # parent entry or None), keyed by (node, obligation)
+    frontier: dict[tuple, tuple] = {}
+    # decided states only step to find a poisoned step, which no latch can
+    # cause (latches are booleans), so they are kept as ids, in the order reached
+    settled: dict[int, None] = {}
+    init_ids, init_poison = graph.initial()
+    for sid in init_ids:
+        node = (sid, latch0)
+        bits = bits_of[node] = atom_fn(values[sid] + latch0)
+        res = progress(root, bits)
+        if res == BOT:
+            return Counterexample(project([node]), task.formula, 0)
+        if res == TOP:
+            settled[sid] = None
+        elif (node, res) not in frontier:
+            frontier[(node, res)] = (node, res, None)
+    if init_poison is not None:
+        return ModelError(0, unsliced(init_poison, True))
 
     poison: Optional[tuple[int, str]] = None
-    undecided_tail = False
-
-    # entries: (values, obligation, parent entry or None)
-    frontier: dict[tuple, tuple] = {}
-    settled: dict[tuple, None] = {}  # decided states, in insertion order
-    try:
-        for s in initial_states(ts, init_order):
-            bits = atom_fn(s.values)
-            res = ob.progress(root, bits)
-            if res == BOT:
-                return Counterexample(project([s.values]), task.formula, 0)
-            if res == TOP:
-                settled[s.values] = None
-                continue
-            key = (s.values, res)
-            if key not in frontier:
-                frontier[key] = (s.values, res, None)
-    except ModelStepError as err:
-        return ModelError(0, unsliced(err))
-
     for depth in range(1, task.bound_k + 1):
         if not frontier and not settled:
             break
         new_frontier: dict[tuple, tuple] = {}
-        new_settled: dict[tuple, None] = {}
+        new_settled: dict[int, None] = {}
         for entry in frontier.values():
-            values, obligation, _parent = entry
             if budget.exceeded():
                 return Timeout(budget.elapsed())
-            try:
-                succ_values = next_values(ts, values)
-            except ModelStepError as err:
+            (sid, latch), obligation, _parent = entry
+            out = graph.step(sid)
+            if isinstance(out, Poison):
                 if poison is None:
-                    poison = (depth, unsliced(err))
+                    poison = (depth, unsliced(out, False))
                 continue
-            for nv in succ_values:
-                bits = atom_fn(nv)
-                res = ob.progress(obligation, bits)
+            latch = latch_fn(values[sid] + latch)
+            for nid in out:
+                node = (nid, latch)
+                bits = bits_of.get(node)
+                if bits is None:
+                    bits = bits_of[node] = atom_fn(values[nid] + latch)
+                res = progress(obligation, bits)
                 if res == BOT:
-                    chain = [nv]
-                    node = entry
-                    while node is not None:
-                        chain.append(node[0])
-                        node = node[2]
+                    chain = [node]
+                    while entry is not None:
+                        chain.append(entry[0])
+                        entry = entry[2]
                     chain.reverse()
                     return Counterexample(project(chain), task.formula, depth)
                 if res == TOP:
-                    new_settled[nv] = None
-                    continue
-                key = (nv, res)
-                if key not in new_frontier:
-                    new_frontier[key] = (nv, res, entry)
+                    new_settled[nid] = None
+                elif (node, res) not in new_frontier:
+                    new_frontier[(node, res)] = (node, res, entry)
         if poison is None:
-            for values in settled:
+            for sid in settled:
                 if budget.exceeded():
                     return Timeout(budget.elapsed())
-                try:
-                    new_settled.update(dict.fromkeys(next_values(ts, values)))
-                except ModelStepError as err:
-                    poison = (depth, unsliced(err))
+                out = graph.step(sid)
+                if isinstance(out, Poison):
+                    poison = (depth, unsliced(out, False))
                     break
+                new_settled.update(dict.fromkeys(out))
         frontier = new_frontier
         settled = new_settled if poison is None else {}
 
-    if frontier:
-        undecided_tail = True
     if poison is not None:
-        return ModelError(poison[0], poison[1])
-    return NoCounterexampleWithinBound(task.bound_k, all_paths_decided=not undecided_tail)
+        return ModelError(*poison)
+    return NoCounterexampleWithinBound(task.bound_k, all_paths_decided=not frontier)

@@ -4,6 +4,7 @@
     fsmcheck batch     --template F --failures F --matrix F --specs F
                        [--range r1 c1 r2 c2 | --singles | --full] [--workers W]
                        [--bound K] [--timeout SECS] [--window LO HI] [--out DIR]
+                       [--progress]
     fsmcheck check     MODEL (--prop NAME --specs FILE | --formula TEXT)
                        [--bound K] [--timeout SECS] [--trace-out FILE] [--print-deps]
     fsmcheck simulate  MODEL --steps N [--seed S]
@@ -46,9 +47,9 @@ def main(argv=None) -> int:
         for d in err.diagnostics:
             print(f"error: {err.source_name}: {d}", file=sys.stderr)
         return 2
-    except (ParseError, ModelStepError, FileNotFoundError,
-            InstantiationError, SpecFileError, CatalogError, MatrixError,
-            PlanRangeError, PastEliminationError) as err:
+    except (ParseError, ModelStepError, OSError, InstantiationError,
+            SpecFileError, CatalogError, MatrixError, PlanRangeError,
+            PastEliminationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
@@ -82,6 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--window", nargs=2, type=int, default=(15, 40),
                        metavar=("LO", "HI"), help="failure activation window")
     batch.add_argument("--out", default="batch-out")
+    batch.add_argument("--progress", action="store_true",
+                       help="print a line to stderr as each task finishes, "
+                            "with tasks done of the total and an ETA")
     batch.set_defaults(func=cmd_batch)
 
     check = sub.add_parser("check", help="bounded-check one property on a model")
@@ -181,6 +185,7 @@ def cmd_batch(args) -> int:
     report = run_batch(
         plan, ts, specs, out_dir=args.out, window=window,
         workers=args.workers, timeout=args.timeout, bound=args.bound,
+        progress=sys.stderr if args.progress else None,
     )
     files = write_report(report, args.out)
     counts = report.unit_counts()

@@ -5,20 +5,24 @@ builds no instance: it checks that every task can be injected, substitutes
 each task's spec formulas, and hands the units to W workers, one call per
 unit, in report order (tasks by (row, col), specs in catalog order). The
 elaborated template goes to each worker once, through the pool initializer
-(in-process when W is 1), and a worker builds the instance system of each
-unit it runs from it. A worker returns a `SpecResult` and the counterexample
-trace as text; no unit id travels. The coordinator takes the results back in
-dispatch order, each task taking as many as it has specs, so report content
-is a pure function of the inputs and never of worker scheduling. It files
-the traces, one directory per combination.
+(in-process when W is 1). A worker keeps the last instance system it built,
+keyed by task and window, so the specs of one combination that reach the
+same worker (all of them on one worker) share its slice, its compiled
+kernels and the state graph its checks explore. A worker returns a
+`SpecResult` and the counterexample trace as text; no unit id travels. The
+coordinator takes the results back in dispatch order, each task taking as
+many as it has specs, so report content is a pure function of the inputs
+and never of worker scheduling. It files the traces, one directory per
+combination.
 """
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, TextIO
 
 from ..checker import (
     CheckTask, Counterexample, ModelError, NoCounterexampleWithinBound,
@@ -101,11 +105,23 @@ class BatchReport:
 # --- worker side -------------------------------------------------------------
 
 _template: Optional[TransitionSystem] = None
+_last: Optional[tuple[tuple, TransitionSystem]] = None  # ((task, window), instance)
 
 
 def _init_worker(template: TransitionSystem) -> None:
-    global _template
+    global _template, _last
     _template = template
+    _last = None  # an instance of another template may share its key
+
+
+def _instance(task: PlannedTask, window: tuple[int, int]) -> TransitionSystem:
+    """The instance system of task, reused while the same task comes again."""
+    global _last
+    key = (task, window)
+    if _last is None or _last[0] != key:
+        _last = None  # drop the old instance before building the new one
+        _last = (key, instance_system(_template, task, window))
+    return _last[1]
 
 
 def check_unit(task: PlannedTask, name: str, formula: str, window: tuple[int, int],
@@ -116,7 +132,7 @@ def check_unit(task: PlannedTask, name: str, formula: str, window: tuple[int, in
     started = time.perf_counter()
     verdict, step, detail, trace = "ERROR", None, "", None
     try:
-        ts = instance_system(_template, task, window)
+        ts = _instance(task, window)
         spec = parse_ltl(formula, ts)
         found = check_bounded(CheckTask(ts, spec, bound_k=bound, timeout=timeout))
         if isinstance(found, Counterexample):
@@ -151,7 +167,11 @@ def run_batch(
     workers: int = 1,
     timeout: Optional[float] = None,
     bound: Optional[int] = None,
+    progress: Optional[TextIO] = None,
 ) -> BatchReport:
+    """Run every unit of plan. With progress, a line goes to that stream
+    each time a task's results are all in, in report order: tasks done of
+    the total, the time so far, and an estimate of the time left."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -164,41 +184,46 @@ def run_batch(
         units += [(task, name, formula, window, k, timeout)
                   for name, formula in spec_formulas(task, window, spec_catalog)]
 
-    if workers <= 1:
-        _init_worker(template)
-        results = [check_unit(*unit) for unit in units]
-    else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(template,)) as pool:
-            futures = [pool.submit(check_unit, *unit) for unit in units]
-            results = []
-            for (_, name, *_), fut in zip(units, futures):
-                try:
-                    results.append(fut.result())
-                except Exception as err:  # hard worker crash
-                    results.append((SpecResult(
-                        name, "ERROR", detail=f"worker crashed: {type(err).__name__}: {err}",
-                    ), None))
-
-    merged = iter(results)
     task_results = []
-    for task in tasks:
-        specs = []
-        for _ in task.specs:
-            result, trace = next(merged)
-            if trace is not None:
-                path = out / task.model_id / f"{result.name}.trace"
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(trace)
-                result = replace(result, trace_path=str(path.relative_to(out)))
-            specs.append(result)
-        task_results.append(TaskResult(
-            row=task.row, col=task.col, scenario=task.scenario,
-            model_id=task.model_id, target=task.target, fatal=task.fatal,
-            specs=tuple(specs), wall_time=sum(s.elapsed for s in specs),
-        ))
+    with ExitStack() as stack:
+        if workers <= 1:
+            _init_worker(template)
+            results = (check_unit(*unit) for unit in units)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker, initargs=(template,)))
+            futures = [pool.submit(check_unit, *unit) for unit in units]
+            results = (_collect(fut, name) for (_, name, *_), fut in zip(units, futures))
+        for task in tasks:
+            specs = []
+            for _ in task.specs:
+                result, trace = next(results)
+                if trace is not None:
+                    path = out / task.model_id / f"{result.name}.trace"
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    path.write_text(trace)
+                    result = replace(result, trace_path=str(path.relative_to(out)))
+                specs.append(result)
+            task_results.append(TaskResult(
+                row=task.row, col=task.col, scenario=task.scenario,
+                model_id=task.model_id, target=task.target, fatal=task.fatal,
+                specs=tuple(specs), wall_time=sum(s.elapsed for s in specs),
+            ))
+            if progress is not None:
+                done, spent = len(task_results), time.perf_counter() - started
+                eta = spent / done * (len(tasks) - done)
+                print(f"progress: {done}/{len(tasks)} tasks, {spent:.1f}s elapsed, "
+                      f"ETA {eta:.1f}s", file=progress, flush=True)
 
     return BatchReport(
         tasks=task_results, n_axes=plan.n_axes, bound=k, workers=workers,
         window=window, total_elapsed=time.perf_counter() - started,
     )
+
+
+def _collect(fut, name: str) -> tuple[SpecResult, Optional[str]]:
+    """The result of a unit's future; a hard worker crash is an ERROR."""
+    try:
+        return fut.result()
+    except Exception as err:
+        return SpecResult(name, "ERROR", detail=f"worker crashed: {type(err).__name__}: {err}"), None

@@ -10,8 +10,9 @@ the subformula's body:
 * ``H p``: init TRUE, next L & p; the atom is L & p.
 
 So the atom equals the subformula at every step, and each latch is a
-deterministic next rule of the current state that the compiled kernel steps
-like any other variable. Structurally identical past subformulas share one
+deterministic next rule of the current state: the checker compiles the
+latches' rules into one function and appends its value to every successor
+of its state graph. Structurally identical past subformulas share one
 latch. Bodies must be state formulas (atoms, boolean connectives, and
 already-eliminated inner past operators): a latch read at step t cannot
 equal a property of states after t, so past over future operators has no

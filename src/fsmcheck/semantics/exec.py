@@ -5,9 +5,11 @@ once, into `_step_all`: it returns every variable's candidate tuple,
 then checks the candidates of each int-range variable that has a next rule
 against its domain. The first out-of-range value, in variable order, raises
 ModelStepError: the step is poisoned, and a poisoned step has no successors.
-next_values (which the checker calls), successors, is_successor and simulate
-all step through this kernel. The latches that past-operator elimination
-appends are ordinary variables, so the kernel steps them too.
+next_values (which the checker's state graph calls), successors,
+is_successor and simulate all step through this kernel. The latches that
+past-operator elimination appends are ordinary variables, which the kernel
+can step; the checker keeps them out of its state graph and steps them with
+one compiled function of the current state (see checker.core).
 
 Successor enumeration is lexicographic over the ordered variable list with
 set-literal choices in listed order, so every enumerator-based test is

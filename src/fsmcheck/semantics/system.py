@@ -254,7 +254,11 @@ class VarDef:
 
 
 class TransitionSystem:
-    """Immutable after construction; share freely across threads."""
+    """Immutable after construction, apart from two lazy caches: the
+    compiled step kernel (`_ops`, see semantics.exec), made at first use,
+    and the checker's state graph (`_graph`, see checker.core), which grows
+    as checks of the system explore it. Neither changes what the system
+    means."""
 
     def __init__(
         self,
@@ -269,6 +273,7 @@ class TransitionSystem:
         if len(self.index) != len(variables):
             raise ValueError("duplicate qualified variable name")
         self._ops = None  # compiled lazily
+        self._graph = None  # explored lazily, by the checks of this system
 
     def var(self, name: str) -> VarDef:
         return self.variables[self.index[name]]

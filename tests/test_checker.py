@@ -1,3 +1,4 @@
+import itertools
 import random
 from unittest.mock import patch
 
@@ -11,6 +12,7 @@ from fsmcheck.checker import (
 )
 from fsmcheck.lang import parse_model, validate_model
 from fsmcheck.ltl import PrefixVerdict, parse_ltl
+from fsmcheck.checker.core import TimeoutBudget
 from fsmcheck.checker.deps import sequential_constants
 from fsmcheck.semantics import State, Trace, elaborate, trace_to_text
 
@@ -176,14 +178,13 @@ def test_timeout_honored():
 
 
 def test_determinism_same_task_same_result():
-    ts = build(random_bool_model(random.Random(4), 4, 2))
-    f = parse_ltl("G (v0 -> X v1)", ts)
-    a = check_bounded(CheckTask(ts, f, bound_k=6))
-    b = check_bounded(CheckTask(ts, f, bound_k=6))
-    assert type(a) is type(b)
-    if isinstance(a, Counterexample):
-        assert a.violation_step == b.violation_step
-        assert [s.values for s in a.trace] == [s.values for s in b.trace]
+    # the second check reuses the first one's state graph; the third is
+    # made on a system built apart, so it explores its own
+    src = random_bool_model(random.Random(4), 4, 2)
+    results = []
+    for ts in (build(src),) * 2 + (build(src),):
+        results.append(check_bounded(CheckTask(ts, parse_ltl("G (v0 -> X v1)", ts), bound_k=6)))
+    assert results[0] == results[1] == results[2]
 
 
 def test_dependency_graph():
@@ -271,10 +272,12 @@ ASSIGN
         replay_counterexample(ts, trace, parse_ltl("G t < 2", ts))
 
 
-def _unsliced_check(task):
-    """check_bounded with no variable taken for a sequential constant."""
+def _unsliced_check(src, text, bound):
+    """check_bounded with no variable taken for a sequential constant, on a
+    system built for it alone: a system caches its slice at its first check."""
+    ts = build(src)
     with patch("fsmcheck.checker.core.sequential_constants", return_value={}):
-        return check_bounded(task)
+        return check_bounded(CheckTask(ts, parse_ltl(text, ts), bound_k=bound))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -300,7 +303,7 @@ def test_slicing_matches_unsliced_check(seed):
     f = parse_ltl(text, ts)
     task = CheckTask(ts, f, bound_k=rng.randrange(0, 4))
     sliced = check_bounded(task)
-    unsliced = _unsliced_check(task)
+    unsliced = _unsliced_check(src, text, task.bound_k)
     case = f"{text}, k={task.bound_k}\n{src}"
     # the verdicts compare every field: the step, the trace's values, the
     # decided flag, the model error's step and detail
@@ -308,6 +311,39 @@ def test_slicing_matches_unsliced_check(seed):
     if isinstance(sliced, Counterexample):
         assert trace_to_text(sliced.trace) == trace_to_text(unsliced.trace), case
     _assert_agrees_with_oracle(task, sliced, case)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_shared_graph_matches_fresh_checks(seed):
+    """Specs checked in sequence on one system share its state graph; each
+    gets the verdict that a check on a freshly built system gives, and the
+    oracle agrees. The first check runs out of budget after a random number
+    of polls, so the later ones start on a partly explored graph."""
+    rng = random.Random(seed)
+    # the constant models add sliced variables and init rules out of range
+    src = random_int_model(rng) if rng.random() < 0.7 else random_constant_model(rng)[0]
+    ts = build(src)
+    atoms = int_model_atoms(ts)
+    polls = itertools.count()
+    cut = rng.randrange(0, 6)
+    for i in range(rng.randrange(3, 5)):
+        make = rng.choice([random_future_formula, random_past_formula])
+        text = make(rng, atoms, rng.randrange(1, 4))
+        bound = rng.randrange(0, 5)
+        fresh_ts = build(src)
+        fresh = check_bounded(CheckTask(fresh_ts, parse_ltl(text, fresh_ts), bound_k=bound))
+        task = CheckTask(ts, parse_ltl(text, ts), bound_k=bound)
+        case = f"spec {i}: {text}, k={bound}\n{src}"
+        if i == 0:
+            with patch.object(TimeoutBudget, "exceeded", lambda self: next(polls) >= cut):
+                first = check_bounded(CheckTask(ts, task.formula, bound_k=bound, timeout=1.0))
+            assert isinstance(first, Timeout) or first == fresh, f"{case}\n{first} vs {fresh}"
+        shared = check_bounded(task)
+        assert shared == fresh, f"{case}\n{shared} vs {fresh}"
+        if isinstance(shared, Counterexample):
+            assert trace_to_text(shared.trace) == trace_to_text(fresh.trace), case
+        _assert_agrees_with_oracle(task, shared, case)
 
 
 SLICED = """

@@ -230,3 +230,49 @@ def test_check_reports_each_model_error(tmp_path, capsys):
     assert [line.split("]")[0] for line in err.splitlines()] == [
         f"error: {bad}: error[assign-type", f"error: {bad}: error[range-empty"]
     assert "Traceback" not in err
+
+
+def test_unwritable_output_paths_exit_two_without_traceback(bundle_dir, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for argv in (
+        ["batch",
+         "--template", str(bundle_dir / "vcs.fsm"),
+         "--failures", str(bundle_dir / "failures.csv"),
+         "--matrix", str(bundle_dir / "target_modes.csv"),
+         "--specs", str(bundle_dir / "specs.ltl"),
+         "--range", "1", "1", "1", "1", "--out", str(taken)],  # FileExistsError
+        ["check", str(bundle_dir / "vcs.fsm"), "--formula", "G Mode = Normal",
+         "--trace-out", str(taken / "x.trace")],  # NotADirectoryError
+    ):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err.splitlines()[-1].startswith("error: [Errno "), (argv, err)
+        assert str(taken) in err.splitlines()[-1]
+
+
+def test_batch_progress_lines(bundle_dir, tmp_path, capsys):
+    reports = []
+    for flags in ([], ["--progress"]):
+        out_dir = tmp_path / f"out{len(flags)}"
+        code = main([
+            "batch",
+            "--template", str(bundle_dir / "vcs.fsm"),
+            "--failures", str(bundle_dir / "failures.csv"),
+            "--matrix", str(bundle_dir / "target_modes.csv"),
+            "--specs", str(bundle_dir / "specs.ltl"),
+            "--range", "1", "1", "1", "2", "--out", str(out_dir), *flags,
+        ])
+        assert code == 0
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("progress: ")]
+        if flags:
+            assert [line.split(" tasks,")[0] for line in lines] == [
+                "progress: 1/2", "progress: 2/2"]
+            assert all(" elapsed, ETA " in line for line in lines), lines
+            assert lines[-1].endswith("ETA 0.0s")
+        else:
+            assert lines == []
+        reports.append(_without_timing(json.loads((out_dir / "report.json").read_text())))
+    assert reports[0] == reports[1]

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -444,3 +445,44 @@ def test_run_batch_reports_hard_worker_crash(desk, desk6, tmp_path, monkeypatch)
         for s in task.specs:
             assert s.verdict == "ERROR" and s.detail.startswith("worker crashed: "), s
     assert report.exit_code() == 2
+
+
+# --- the worker's instance cache ---------------------------------------------
+
+
+def _without_timing(report):
+    return [replace(t, wall_time=0.0, specs=tuple(replace(s, elapsed=0.0) for s in t.specs))
+            for t in report.tasks]
+
+
+def test_run_batch_builds_each_instance_once(desk, desk6, tmp_path, monkeypatch):
+    catalog, matrix, specs = desk6
+    plan = plan_batch(catalog, matrix, specs, (6, 3, 6, 3), bound=70)
+    assert [len(t.specs) for t in plan.tasks] == [6]
+    template = elaborate(parse_model(desk.model_text))
+    built = []
+
+    def counted(*args):
+        built.append(args[1].model_id)
+        return instance_system(*args)
+
+    monkeypatch.setattr(runner, "instance_system", counted)
+    one = run_batch(plan, template, specs, out_dir=tmp_path / "w1", workers=1)
+    assert built == ["pair_06_03"]
+    monkeypatch.undo()
+    two = run_batch(plan, template, specs, out_dir=tmp_path / "w2", workers=2)
+    assert _without_timing(one) == _without_timing(two)
+    assert {s.verdict for s in one.tasks[0].specs} == {"PASS"}
+
+
+def test_run_batch_drops_the_last_instance_of_another_template(desk, desk6, tmp_path):
+    # the same task on the mutant, then on the clean template, in one process
+    catalog, matrix, specs = desk6
+    plan = plan_batch(catalog, matrix, specs, (6, 3, 6, 3), bound=70)
+    mutant = elaborate(parse_model(
+        generate_vcs_model(VcsConfig.desk(mutant="swapped-fallback-priority")).model_text))
+    clean = elaborate(parse_model(desk.model_text))
+    violated = run_batch(plan, mutant, specs, out_dir=tmp_path / "mutant", workers=1)
+    assert "VIOLATED" in {s.verdict for s in violated.tasks[0].specs}
+    fresh = run_batch(plan, clean, specs, out_dir=tmp_path / "clean", workers=1)
+    assert {s.verdict for s in fresh.tasks[0].specs} == {"PASS"}
