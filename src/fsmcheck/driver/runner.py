@@ -3,24 +3,30 @@
 The unit of parallelism is one (combination, spec) pair. The coordinator
 builds no instance: it checks that every task can be injected, substitutes
 each task's spec formulas, and hands the units to W workers, one call per
-unit, in report order (tasks by (row, col), specs in catalog order). The
-elaborated template goes to each worker once, through the pool initializer
-(in-process when W is 1). A worker keeps the last instance system it built,
-keyed by task and window, so the specs of one combination that reach the
-same worker (all of them on one worker) share its slice, its compiled
-kernels and the state graph its checks explore. A worker returns a
-`SpecResult` and the counterexample trace as text; no unit id travels. The
-coordinator takes the results back in dispatch order, each task taking as
-many as it has specs, so report content is a pure function of the inputs
-and never of worker scheduling. It files the traces, one directory per
-combination.
+unit, in report order (tasks by (row, col), specs in catalog order). Each
+worker is a one-process pool of its own, and the specs of one combination
+go to one worker together, as a job (see `unit_jobs`), so the
+combination's instance is built and explored once whatever the timing;
+the next job goes to the first worker that is free. The elaborated
+template goes to each worker once, through the pool initializer
+(in-process when W is 1). A worker keeps the last instance system it
+built, keyed by task and window, so the specs of a combination share its
+slice, its compiled kernels and the state graph its checks explore. A
+worker returns a `SpecResult` and the counterexample trace as text; no
+unit id travels. The coordinator takes the results back in dispatch
+order, each task taking as many as it has specs, so report content is a
+pure function of the inputs and never of worker scheduling. It files the
+traces, one directory per combination.
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait,
+)
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional, TextIO
 
@@ -190,10 +196,10 @@ def run_batch(
             _init_worker(template)
             results = (check_unit(*unit) for unit in units)
         else:
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(template,)))
-            futures = [pool.submit(check_unit, *unit) for unit in units]
-            results = (_collect(fut, name) for (_, name, *_), fut in zip(units, futures))
+            pools = [stack.enter_context(ProcessPoolExecutor(
+                max_workers=1, initializer=_init_worker, initargs=(template,)))
+                for _ in range(workers)]
+            results = _run_pooled(units, unit_jobs(tasks, workers), pools)
         for task in tasks:
             specs = []
             for _ in task.specs:
@@ -219,6 +225,56 @@ def run_batch(
         tasks=task_results, n_axes=plan.n_axes, bound=k, workers=workers,
         window=window, total_elapsed=time.perf_counter() - started,
     )
+
+
+def unit_jobs(tasks: list[PlannedTask], workers: int) -> list[slice]:
+    """The units of tasks, in unit order, cut into jobs that each run on one
+    worker: a job is the units of one task. While there are fewer jobs than
+    workers, the largest is split in two, so a batch of one task still runs
+    in parallel."""
+    sizes = [len(t.specs) for t in tasks if t.specs]
+    while 0 < len(sizes) < workers and max(sizes) > 1:
+        i = sizes.index(max(sizes))
+        sizes[i:i + 1] = [sizes[i] - sizes[i] // 2, sizes[i] // 2]
+    ends = list(accumulate(sizes, initial=0))
+    return [slice(a, b) for a, b in zip(ends, ends[1:])]
+
+
+def _run_pooled(units: list[tuple], jobs: list[slice], pools: list[ProcessPoolExecutor]):
+    """The results of units, in unit order, from one-process pools, one call
+    per unit. The jobs go out in order, each to the first pool that has
+    finished its last one. A pool whose worker crashed gets no more jobs
+    while another pool still runs one."""
+    pending = iter(jobs)
+    futures: list[Future] = []
+    running: dict[Future, ProcessPoolExecutor] = {}  # a job's last unit -> its pool
+
+    def give(pool: ProcessPoolExecutor) -> None:
+        job = next(pending, None)
+        if job is not None:
+            futures.extend(_submit(pool, unit) for unit in units[job])
+            running[futures[-1]] = pool
+
+    for pool in pools:
+        give(pool)
+    for i, (_, name, *_) in enumerate(units):
+        while i >= len(futures) or not futures[i].done():
+            done, _ = wait([*running, *futures[i:i + 1]], return_when=FIRST_COMPLETED)
+            for fut in done & running.keys():
+                pool = running.pop(fut)
+                if fut.exception() is None or not running:
+                    give(pool)
+        yield _collect(futures[i], name)
+
+
+def _submit(pool: ProcessPoolExecutor, unit: tuple) -> Future:
+    """pool's future of unit; a broken pool's is failed already."""
+    try:
+        return pool.submit(check_unit, *unit)
+    except BrokenExecutor as err:
+        fut: Future = Future()
+        fut.set_exception(err)
+        return fut
 
 
 def _collect(fut, name: str) -> tuple[SpecResult, Optional[str]]:

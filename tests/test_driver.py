@@ -486,3 +486,62 @@ def test_run_batch_drops_the_last_instance_of_another_template(desk, desk6, tmp_
     assert "VIOLATED" in {s.verdict for s in violated.tasks[0].specs}
     fresh = run_batch(plan, clean, specs, out_dir=tmp_path / "clean", workers=1)
     assert {s.verdict for s in fresh.tasks[0].specs} == {"PASS"}
+
+
+# --- dispatch to two workers ---------------------------------------------------
+
+
+def test_unit_jobs_keep_each_task_on_one_worker(desk6):
+    catalog, matrix, specs = desk6
+    one = plan_batch(catalog, matrix, specs, (6, 3, 6, 3), bound=70).tasks
+    assert runner.unit_jobs(one, 1) == [slice(0, 6)]
+    # fewer tasks than workers: the largest job is split, so both work
+    assert runner.unit_jobs(one, 2) == [slice(0, 3), slice(3, 6)]
+    assert runner.unit_jobs(one, 4) == [slice(0, 2), slice(2, 3), slice(3, 5), slice(5, 6)]
+    many = sorted(plan_batch(catalog, matrix, specs, (1, 1, 2, 2), bound=70).tasks,
+                  key=lambda t: t.sort_key)
+    assert len(many) > 2
+    jobs = runner.unit_jobs(many, 2)
+    assert [j.stop - j.start for j in jobs] == [len(t.specs) for t in many]
+    assert [j.start for j in jobs[1:]] == [j.stop for j in jobs[:-1]]
+
+
+def _logging_instance_system(log: Path, crash_on: str = ""):
+    """instance_system, writing each model id it builds to log; the forked
+    workers inherit it. It ends its process when it builds crash_on."""
+    def built(*args):
+        with open(log, "a") as f:
+            f.write(args[1].model_id + "\n")
+        if args[1].model_id == crash_on:
+            os._exit(1)
+        return instance_system(*args)
+    return built
+
+
+def test_two_workers_build_each_instance_once(desk, desk6, tmp_path, monkeypatch):
+    catalog, matrix, specs = desk6
+    plan = plan_batch(catalog, matrix, specs, (1, 1, 2, 2), bound=70)
+    template = elaborate(parse_model(desk.model_text))
+    one = run_batch(plan, template, specs, out_dir=tmp_path / "w1", workers=1)
+    log = tmp_path / "built"
+    monkeypatch.setattr(runner, "instance_system", _logging_instance_system(log))
+    two = run_batch(plan, template, specs, out_dir=tmp_path / "w2", workers=2)
+    assert sorted(log.read_text().split()) == sorted(t.model_id for t in plan.tasks)
+    assert _without_timing(one) == _without_timing(two)
+
+
+def test_a_crashed_worker_spares_the_tasks_of_the_other(desk, desk6, tmp_path, monkeypatch):
+    catalog, matrix, specs = desk6
+    plan = plan_batch(catalog, matrix, specs, (1, 1, 2, 2), bound=70)
+    template = elaborate(parse_model(desk.model_text))
+    one = run_batch(plan, template, specs, out_dir=tmp_path / "w1", workers=1)
+    doomed = one.tasks[1].model_id
+    monkeypatch.setattr(runner, "instance_system",
+                        _logging_instance_system(tmp_path / "built", crash_on=doomed))
+    two = run_batch(plan, template, specs, out_dir=tmp_path / "w2", workers=2)
+    for fresh, task in zip(_without_timing(one), _without_timing(two)):
+        if task.model_id == doomed:
+            assert all(s.verdict == "ERROR" and s.detail.startswith("worker crashed: ")
+                       for s in task.specs), task
+        else:
+            assert task == fresh
