@@ -13,7 +13,7 @@ from .ast import (
 )
 from .lexer import ParseError, Token, TokenStream, tokenize
 
-_CMP_OPS = {"EQ": "=", "NEQ": "!=", "LT": "<", "LE": "<=", "GT": ">", "GE": ">="}
+CMP_OPS = {"EQ": "=", "NEQ": "!=", "LT": "<", "LE": "<=", "GT": ">", "GE": ">="}
 
 
 def parse_model(text: str) -> ModelAst:
@@ -36,7 +36,7 @@ def parse_model(text: str) -> ModelAst:
 
 
 def parse_expr_text(text: str) -> Expr:
-    """Parse a standalone expression (used for spec atoms and tests)."""
+    """Parse a standalone expression (parse_state_expr and tests use this)."""
     ts = TokenStream(tokenize(text))
     expr = _parse_expr(ts)
     ts.expect("EOF", "end of expression")
@@ -184,19 +184,20 @@ def _parse_or(ts) -> Expr:
 
 
 def _parse_and(ts) -> Expr:
-    left = _parse_cmp(ts)
+    left = parse_comparison(ts)
     while ts.at("AND"):
         tok = ts.advance()
-        left = Binary("&", left, _parse_cmp(ts), span=tok.span)
+        left = Binary("&", left, parse_comparison(ts), span=tok.span)
     return left
 
 
-def _parse_cmp(ts) -> Expr:
+def parse_comparison(ts: TokenStream) -> Expr:
+    """One comparison-level expression: the spec parser reads atoms with it."""
     left = _parse_additive(ts)
-    if ts.peek().kind in _CMP_OPS:
+    if ts.peek().kind in CMP_OPS:
         tok = ts.advance()
         right = _parse_additive(ts)
-        return Binary(_CMP_OPS[tok.kind], left, right, span=tok.span)
+        return Binary(CMP_OPS[tok.kind], left, right, span=tok.span)
     return left
 
 

@@ -7,7 +7,16 @@ Operator precedence, loosest binding first:
     &         conjunction
     U  R      until / release (right-associative)
     unary     !  X  F  G  O  Y  H  F[a,b]  G[a,b]
-    atoms     comparisons and arithmetic bind tighter than any operator
+    atoms     one comparison of the model's expression grammar
+
+An atom is read by the model parser's `parse_comparison`: sums,
+differences, `!` and `-` on operands, and parenthesized model expressions,
+with at most one comparison on top, so it binds tighter than any formula
+operator. A formula-level `(` opens a grouped formula; the same text is
+read as an atom instead when the grouped reading fails or a comparison
+follows its `)`, so `(a | b) U c` is an Until over an Or while
+`(Step + 1) = 5` and `(a) = b` are atoms. Each atom is type-checked by the
+model's rules (`infer_kind`) and must be boolean.
 
 The names X, U, R, F, G, O, Y, H are reserved for operators in spec text.
 Atom identifiers are qualified variable names, DEFINE names, or enum
@@ -17,6 +26,7 @@ from __future__ import annotations
 
 from ..lang import ast
 from ..lang.lexer import ParseError, TokenStream, tokenize
+from ..lang.parser import CMP_OPS, parse_comparison
 from ..lang.printer import print_expr
 from ..semantics.exec import ResolutionError, infer_kind, resolve_expr
 from ..semantics.system import TransitionSystem
@@ -24,11 +34,6 @@ from . import formula as F
 
 _UNARY_OPS = {"X": F.Next, "F": F.Finally_, "G": F.Globally,
               "O": F.Once, "Y": F.Yesterday, "H": F.Historically}
-_CMP = {"EQ": "=", "NEQ": "!=", "LT": "<", "LE": "<=", "GT": ">", "GE": ">="}
-
-
-class LtlError(Exception):
-    pass
 
 
 def parse_ltl(text: str, ts: TransitionSystem) -> F.Formula:
@@ -78,9 +83,6 @@ class _Parser:
             self.s.advance()
             return F.Not(self.parse_unary())
         if tok.kind == "IDENT" and tok.value in _UNARY_OPS:
-            nxt = self.s.peek(1)
-            # a bare operator letter right before '.', '=', etc. would be an
-            # atom; operators are followed by an operand or a window
             self.s.advance()
             if tok.value in ("F", "G") and self.s.at("LBRACK"):
                 lo, hi = self._parse_window(tok)
@@ -103,78 +105,37 @@ class _Parser:
     def parse_primary(self) -> F.Formula:
         tok = self.s.peek()
         if tok.kind == "LPAREN":
-            # "(Step + 1) = 5" is an atom while "(a | b)" is a grouped
-            # formula: try the expression reading first, then backtrack.
             mark = self.s.mark()
+            grouped_error = None
             try:
-                expr = self._parse_cmp_expr()
-                return self._atomize(expr, tok)
+                self.s.advance()
+                inner = self.parse_implies()
+                self.s.expect("RPAREN", "')'")
+                if self.s.peek().kind not in CMP_OPS:
+                    return inner
+            except ParseError as err:
+                grouped_error = err
+            self.s.reset(mark)
+            try:
+                expr = parse_comparison(self.s)
             except ParseError:
-                self.s.reset(mark)
-            self.s.advance()
-            inner = self.parse_implies()
-            self.s.expect("RPAREN", "')'")
-            return inner
-        if tok.kind in ("IDENT", "INT", "TRUE", "FALSE", "MINUS"):
-            expr = self._parse_cmp_expr()
+                if grouped_error is not None:
+                    raise grouped_error from None
+                raise
             return self._atomize(expr, tok)
+        if tok.kind in ("IDENT", "INT", "TRUE", "FALSE", "MINUS"):
+            return self._atomize(parse_comparison(self.s), tok)
         raise self.s.fail(
             "expected a formula",
             expected=("identifier", "literal", "'('", "unary operator"),
         )
 
-    # -- atom expression layer (no temporal operators) ---------------------
-
-    def _parse_cmp_expr(self) -> ast.Expr:
-        left = self._parse_additive()
-        if self.s.peek().kind in _CMP:
-            op = _CMP[self.s.advance().kind]
-            right = self._parse_additive()
-            return ast.Binary(op, left, right)
-        return left
-
-    def _parse_additive(self) -> ast.Expr:
-        left = self._parse_expr_unary()
-        while self.s.at("PLUS", "MINUS"):
-            op = "+" if self.s.advance().kind == "PLUS" else "-"
-            left = ast.Binary(op, left, self._parse_expr_unary())
-        return left
-
-    def _parse_expr_unary(self) -> ast.Expr:
-        if self.s.at("MINUS"):
-            self.s.advance()
-            operand = self._parse_expr_unary()
-            if isinstance(operand, ast.IntLit):
-                return ast.IntLit(-operand.value)
-            return ast.Unary("-", operand)
-        tok = self.s.peek()
-        if tok.kind == "INT":
-            self.s.advance()
-            return ast.IntLit(int(tok.value))
-        if tok.kind == "TRUE":
-            self.s.advance()
-            return ast.BoolLit(True)
-        if tok.kind == "FALSE":
-            self.s.advance()
-            return ast.BoolLit(False)
-        if tok.kind == "IDENT":
-            parts = [self.s.advance().value]
-            while self.s.accept("DOT"):
-                parts.append(self.s.expect("IDENT", "identifier after '.'").value)
-            return ast.Name(tuple(parts), span=tok.span)
-        if tok.kind == "LPAREN":
-            self.s.advance()
-            inner = self._parse_cmp_expr()
-            self.s.expect("RPAREN", "')'")
-            return inner
-        raise self.s.fail("expected an atom expression", expected=("identifier", "literal"))
-
     def _atomize(self, expr: ast.Expr, tok) -> F.Atom:
         try:
             flat = resolve_expr(self.system, expr)
+            kind = infer_kind(self.system, flat)
         except ResolutionError as err:
             raise ParseError(str(err), tok.line, tok.col)
-        kind = infer_kind(self.system, flat)
         if kind != "bool":
             raise ParseError(
                 f"atom {print_expr(expr)!r} is {kind}, not boolean", tok.line, tok.col

@@ -391,7 +391,7 @@ def simulate(ts: TransitionSystem, steps: int, chooser: Chooser = first_choice) 
 
 def parse_state_expr(ts: TransitionSystem, text: str) -> FExpr:
     """Parse an expression over qualified variable names, defines, and enum
-    symbols into the system's flat form (spec atoms use this)."""
+    symbols into the system's flat form."""
     return resolve_expr(ts, parse_expr_text(text))
 
 
@@ -427,7 +427,11 @@ def resolve_expr(ts: TransitionSystem, expr: ast.Expr) -> FExpr:
 
 
 def infer_kind(ts: TransitionSystem, e: FExpr) -> str:
-    """Rough kind of a flat expression: 'bool', 'int', or 'enum'."""
+    """Kind of a flat expression, 'bool', 'int' or 'enum', under the model's
+    typing rules: `!`, `&`, `|` and `->` take booleans; `+`, `-` and the
+    order comparisons take ints; `=` and `!=` take two operands of one kind;
+    case guards are boolean, the last one literal TRUE, and all arms have one
+    kind. Raises ResolutionError on an ill-typed operand."""
     if isinstance(e, VarRef):
         dom = ts.variables[e.index].domain
         if isinstance(dom, IntDomain):
@@ -442,9 +446,31 @@ def infer_kind(ts: TransitionSystem, e: FExpr) -> str:
             return "int"
         return "enum"
     if isinstance(e, FUnary):
-        return "bool" if e.op == "!" else "int"
+        return _need(ts, f"operator {e.op!r}", "bool" if e.op == "!" else "int", e.operand)
     if isinstance(e, FBinary):
+        if e.op in ("=", "!="):
+            left, right = infer_kind(ts, e.left), infer_kind(ts, e.right)
+            if left != right:
+                raise ResolutionError(f"cannot compare {left} with {right} in {format_fexpr(e)!r}")
+            return "bool"
+        want = "bool" if e.op in ("&", "|", "->") else "int"
+        _need(ts, f"operator {e.op!r}", want, e.left, e.right)
         return "int" if e.op in ("+", "-") else "bool"
     if isinstance(e, FCase):
-        return infer_kind(ts, e.arms[0][1])
-    return "bool"
+        for guard, _ in e.arms:
+            _need(ts, "case guard", "bool", guard)
+        if e.arms[-1][0] != Const(True):
+            raise ResolutionError("case expression must end in a literal TRUE default arm")
+        kinds = {infer_kind(ts, result) for _, result in e.arms}
+        if len(kinds) > 1:
+            raise ResolutionError(f"case arms mix kinds {sorted(kinds)}")
+        return kinds.pop()
+    raise ResolutionError(f"unsupported expression {format_fexpr(e)!r}")
+
+
+def _need(ts: TransitionSystem, what: str, want: str, *operands: FExpr) -> str:
+    for operand in operands:
+        got = infer_kind(ts, operand)
+        if got != want:
+            raise ResolutionError(f"{what} needs {want}, got {got} {format_fexpr(operand)!r}")
+    return want

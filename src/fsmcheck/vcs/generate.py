@@ -24,7 +24,7 @@ Structure of the generated model:
   cascade Normal > FallbackA > FallbackB > FallbackC > SafeStop, with
   SafeStop terminal.
 
-Failure-free execution reaches Mode = Normal at exactly ``runup_steps``
+Failure-free execution reaches Mode = Normal at exactly ``RUNUP_STEPS``
 and holds it: each ECU turns Ready on its own staggered schedule and the
 whole fleet turns Active together two cycles before run-up completes, gated
 on the peer state delivered through the bus.
@@ -44,34 +44,29 @@ MODES = ("Startup", "Normal", "FallbackA", "FallbackB", "FallbackC", "SafeStop")
 MUTANTS = ("none", "swapped-fallback-priority")
 
 
+# Timing of the generated design, in steps: the debounce window of a comm
+# failure, the run-up to Normal, the arbitration deadline, and the bound
+# the Step counter and the specs cover.
+DEBOUNCE_CYCLES = 3
+RUNUP_STEPS = 15
+MODE_SWITCH_DEADLINE = 5
+BOUND = 70
+# reaction budget: worst-case observation (debounce latch) plus the
+# arbitration deadline plus detection/mode update lag
+REACH_WINDOW = DEBOUNCE_CYCLES + MODE_SWITCH_DEADLINE + 2
+
+
 @dataclass(frozen=True)
 class VcsConfig:
     n_ecus: int = 4
     n_buses: int = 1
-    n_power: int = 2
-    debounce_cycles: int = 3
-    runup_steps: int = 15
-    mode_switch_deadline: int = 5
-    bound: int = 70
-    window_start: int = 15
-    window_end: int = 40
     mutant: str = "none"
 
     def __post_init__(self):
         if self.n_ecus < 2:
             raise ValueError("need at least 2 ECUs (primary and backup master)")
-        if self.n_power != 2:
-            raise ValueError("the duo-duplex design uses exactly 2 power supplies")
         if self.n_buses < 1:
             raise ValueError("need at least one bus")
-        if self.debounce_cycles < 1:
-            raise ValueError("debounce_cycles must be >= 1")
-        if self.runup_steps < 8:
-            raise ValueError("run-up needs at least 8 steps for the staggered boot")
-        if self.mode_switch_deadline >= self.bound - self.window_end:
-            raise ValueError("deadline must fit in the injection-to-bound margin")
-        if not (self.runup_steps <= self.window_start <= self.window_end < self.bound):
-            raise ValueError("injection window must lie between run-up and bound")
         if self.mutant not in MUTANTS:
             raise ValueError(f"unknown mutant {self.mutant!r}")
 
@@ -82,12 +77,6 @@ class VcsConfig:
     @classmethod
     def full(cls, **overrides) -> "VcsConfig":
         return cls(n_ecus=7, n_buses=3, **overrides)
-
-    # reaction budget: worst-case observation (debounce latch) plus the
-    # arbitration deadline plus detection/mode update lag
-    @property
-    def reach_window(self) -> int:
-        return self.debounce_cycles + self.mode_switch_deadline + 2
 
 
 @dataclass(frozen=True)
@@ -206,17 +195,17 @@ def _ready_at(k: int) -> int:
     return 4 + ((k - 3) % 8)
 
 
-def _glob_module(cfg: VcsConfig) -> str:
+def _glob_module() -> str:
     return f"""MODULE glob
 DEFINE
-  T_RUNUP := {cfg.runup_steps};
-  T_DEBOUNCE := {cfg.debounce_cycles};
-  T_DEADLINE := {cfg.mode_switch_deadline};
-  STEP_MAX := {max(cfg.bound, cfg.window_end) + 1};
+  T_RUNUP := {RUNUP_STEPS};
+  T_DEBOUNCE := {DEBOUNCE_CYCLES};
+  T_DEADLINE := {MODE_SWITCH_DEADLINE};
+  STEP_MAX := {BOUND + 1};
 """
 
 
-def _ecu_module(cfg: VcsConfig, k: int) -> str:
+def _ecu_module(k: int) -> str:
     peer = "PeerSt" if k <= 2 else "MasterSt"
     peer_ok = "PeerOk" if k <= 2 else "MasterOk"
     lines = [f"MODULE M_ECU{k} ({peer}, {peer_ok}, FailSelf, Glob)"]
@@ -374,9 +363,9 @@ def _main_module(cfg: VcsConfig) -> str:
 
 
 def _model_text(cfg: VcsConfig) -> str:
-    parts = [_glob_module(cfg)]
+    parts = [_glob_module()]
     for k in range(1, cfg.n_ecus + 1):
-        parts.append(_ecu_module(cfg, k))
+        parts.append(_ecu_module(k))
     parts.append(_bus_module(cfg))
     parts.append(_main_module(cfg))
     return "\n".join(parts)
@@ -406,12 +395,12 @@ def _matrix_text(cfg: VcsConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _specs_text(cfg: VcsConfig) -> str:
-    runup = cfg.runup_steps
-    bound = cfg.bound
-    reach = cfg.reach_window
+def _specs_text() -> str:
+    runup = RUNUP_STEPS
+    bound = BOUND
+    reach = REACH_WINDOW
     stable_hi = bound - 2
-    persist = cfg.debounce_cycles - 1  # extra X-steps demanded of a failure
+    persist = DEBOUNCE_CYCLES - 1  # extra X-steps demanded of a failure
     persist_a = " & ".join(
         ["{{FAIL_A}}"] + [f"{'X ' * i}{{{{FAIL_A}}}}" for i in range(1, persist + 1)]
     )
@@ -469,5 +458,5 @@ def generate_vcs_model(cfg: VcsConfig) -> VcsBundle:
         model_text=_model_text(cfg),
         failures_text=_failures_text(cfg),
         matrix_text=_matrix_text(cfg),
-        specs_text=_specs_text(cfg),
+        specs_text=_specs_text(),
     )

@@ -193,6 +193,7 @@ def test_input_errors_exit_two_without_traceback(bundle_dir, tmp_path, capsys):
         batch + ["--range", "1", "2", "1", "2", "--window", "20", "20"],  # InstantiationError
         batch + ["--range", "99", "1", "99", "1"],  # PlanRangeError
         ["check", str(bundle_dir / "vcs.fsm"), "--formula", "O (F Step > 3)"],  # PastEliminationError
+        ["check", str(bundle_dir / "vcs.fsm"), "--formula", "G (Mode = 3)"],  # ill-typed atom
     ):
         code = main(argv)
         err = capsys.readouterr().err

@@ -10,7 +10,7 @@ from fsmcheck.ltl import (
 )
 from fsmcheck.ltl import formula as F
 from fsmcheck.semantics import (
-    Trace, elaborate, eval_expr, initial_states, scripted_chooser, simulate,
+    Const, FBinary, Trace, VarRef, elaborate, eval_expr, initial_states, scripted_chooser, simulate,
     seeded_random_chooser, successors,
 )
 
@@ -120,6 +120,39 @@ def test_parse_rejects_non_boolean_atom(ts):
 def test_parse_unresolved_atom(ts):
     with pytest.raises(ParseError, match="unresolved"):
         parse_ltl("G NoSuchVar", ts)
+
+
+TYPED = """
+MODULE main
+VAR
+  a : boolean;
+  b : boolean;
+  c : boolean;
+  x : boolean;
+  Mode : {Off, On};
+  n : 0..9;
+"""
+
+
+@pytest.mark.parametrize("text", [
+    "G ((a + 1) = 2)", "G (Mode = 3)", "G (n = Off)", "G (a < 2)", "G (n = TRUE)",
+])
+def test_parse_rejects_ill_typed_atom(text):
+    with pytest.raises(ParseError):
+        parse_ltl(text, build(TYPED))
+
+
+def test_parenthesis_opens_a_grouped_formula_unless_a_comparison_follows():
+    ts = build(TYPED)
+    a, b, c, n = (F.Atom(VarRef(ts.index[v], v)) for v in ("a", "b", "c", "n"))
+    assert parse_ltl("(a | b) U c", ts) == F.Until(F.Or(a, b), c)
+    assert parse_ltl("(n + 1) = 5 & a", ts) == F.And(
+        F.Atom(FBinary("=", FBinary("+", n.expr, Const(1)), Const(5))), a,
+    )
+    for text in ("(a) = b", "x = (a | b)", "a = !b"):
+        assert isinstance(parse_ltl(text, ts), F.Atom), text
+    with pytest.raises(ParseError, match="unresolved identifier 'NoSuchVar'"):
+        parse_ltl("G (a U NoSuchVar)", ts)
 
 
 def test_parse_bad_window(ts):
