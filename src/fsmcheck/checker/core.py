@@ -6,9 +6,16 @@ the formula rewritten by progression through the states consumed so far
 identical residuals merge. An obligation collapsing to bottom is exactly a
 Violated prefix verdict, and collapsing to top a Holds verdict, so the
 result contract matches direct three-valued evaluation while exploring
-deduplicated states instead of paths. Per-depth deduplication is sound for
-counterexample-completeness: a pair reached earlier has at least as much
-remaining bound as a later repeat.
+deduplicated states instead of paths.
+
+Per-depth deduplication is sound for counterexample-completeness: a pair
+reached earlier has at least as much remaining bound as a later repeat.
+The per-entry search keeps each depth's pairs as entries, each with the
+entry it was first reached from. It is breadth first, so the verdict and
+the counterexample it returns are fixed by the order it meets pairs in:
+depth by depth, the frontier in insertion order, each state's successors
+in the kernel's order. Any walk of a depth that meets its pairs in that
+order, from the same parents, returns the same verdict and trace.
 
 The states come from a `StateGraph` of the system sliced by
 `deps.slice_constants`: its sequential constants are left out, the other
@@ -20,6 +27,25 @@ multi-property checking (Cabodi & Nocco, DATE 2011). The latches that
 past-operator elimination adds stay out of the graph: their next rules are
 one compiled function of the current state, whose value is appended to
 every successor, so a node of the search is (state id, latch values).
+
+The graph also keeps its breadth-first levels: level 0 is the initial
+states, and level d+1 the successors of level d's states whose step is not
+poisoned, deduplicated in first-encounter order, each with its first
+parent. A formula without latches is checked level by level, the level
+phase, for as long as one obligation covers all of level d. Then the
+per-entry search at depth d+1 steps level d in order, and a successor's
+result depends on its own atom bits alone, so a repeated visit repeats
+the first one's result. Hence the first bottom it meets is the first
+bottom state of level d+1, reached from its first parent; if every state
+of level d+1 progresses to one obligation, its frontier at d+1 is level
+d+1 under that obligation, in level order; and the first poisoned step it
+meets is that of level d's first poisoned state. When the states of a
+level progress to different obligations, or the bound is reached, the
+level is handed over as explicit entries in level order, and the
+per-entry search goes on from there. When all of them progress to top,
+every path is decided: the per-entry search would then only step the
+levels that follow, in order, to find the first poisoned step within the
+bound, and the levels record it.
 
 The constants hold in every reachable state, so the sliced search visits
 the projections of the unsliced search's states in the same order: initial
@@ -33,7 +59,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from ..ltl import formula as F
 from ..ltl.past import eliminate_past
@@ -274,6 +300,14 @@ class Poison:
     value: Value
 
 
+class Level(NamedTuple):
+    """One breadth-first level of a StateGraph."""
+
+    ids: tuple[int, ...]       # its states, in first-encounter order
+    parents: tuple[int, ...]   # each one's first parent, a position in the level before
+    poison: Optional[Poison]   # the first poisoned step of the level before, if any
+
+
 class StateGraph:
     """The reachable states of a sliced system, explored on demand.
 
@@ -282,6 +316,14 @@ class StateGraph:
     poisoned step is memoized as its Poison. Every check of the system the
     graph is cached on reads and extends the same graph, so the kernel steps
     each state at most once, whichever spec reaches it first.
+
+    The graph also keeps its breadth-first levels, built on demand and only
+    as deep as some check asked for. Level 0 is the initial ids; level d+1
+    is the successors of level d's states whose step is not poisoned,
+    deduplicated in first-encounter order (level d in order, each state's
+    successors in kernel order), each with the position of its first parent
+    in level d, and with the Poison of level d's first poisoned state. A
+    level is cached only once it is complete.
     """
 
     def __init__(self, sliced: ConstantSlice):
@@ -290,6 +332,7 @@ class StateGraph:
         self._succ: list = []          # id -> successor ids, a Poison, or None
         self._ids: dict[tuple, int] = {}
         self._initial: Optional[tuple[tuple[int, ...], Optional[Poison]]] = None
+        self._levels: list[Level] = []
 
     def intern(self, values: tuple) -> int:
         sid = self._ids.get(values)
@@ -324,6 +367,44 @@ class StateGraph:
             self._succ[sid] = out
         return out
 
+    def level(self, depth: int, budget: TimeoutBudget) -> Optional[Level]:
+        """Level depth, building the levels before it as needed; None if the
+        budget runs out first, polled once per state stepped."""
+        levels = self._levels
+        if not levels:
+            levels.append(Level(tuple(dict.fromkeys(self.initial()[0])), (), None))
+        succ = self._succ
+        while len(levels) <= depth:
+            first: dict[int, int] = {}  # id -> its first parent's position
+            poison = None
+            for i, sid in enumerate(levels[-1].ids):
+                if budget.exceeded():
+                    return None
+                out = succ[sid]
+                if out is None:
+                    out = self.step(sid)
+                if isinstance(out, Poison):
+                    if poison is None:
+                        poison = out
+                    continue
+                for nid in out:
+                    if nid not in first:
+                        first[nid] = i
+            levels.append(Level(tuple(first), tuple(first.values()), poison))
+        return levels[depth]
+
+    def path(self, depth: int, i: int) -> list[int]:
+        """The ids from level 0 to position i of level depth, through first
+        parents."""
+        ids = []
+        for d in range(depth, -1, -1):
+            level = self._levels[d]
+            ids.append(level.ids[i])
+            if d:
+                i = level.parents[i]
+        ids.reverse()
+        return ids
+
 
 def state_graph(ts: TransitionSystem) -> StateGraph:
     """ts's state graph, built on its constant slice at the first call and
@@ -346,6 +427,18 @@ def check_bounded(task: CheckTask) -> Verdict:
     A state whose obligation is decided still steps, without an obligation,
     until the bound or the first poisoned step, so a model error on any path
     within the bound is reported.
+
+    The search starts in the level phase at level 0. While the frontier is
+    all of level d under one obligation, the atoms of each of level d's
+    states are evaluated once, and the obligation is progressed once per
+    distinct atom-bit value. A bottom result returns the first-parent path
+    of the first such state in level order. One common non-top result moves
+    the phase on to level d+1. Top everywhere decides the spec: the levels
+    up to the bound are then only scanned for the first poisoned step. On
+    mixed results, at the bound, or after level 0 for a formula with
+    past-operator latches, whose nodes carry latch values the levels do not,
+    the level becomes explicit (node, obligation) entries, and the
+    per-entry search takes over from the next depth.
     """
     budget = TimeoutBudget(task.timeout)
     graph = state_graph(task.ts)
@@ -363,8 +456,8 @@ def check_bounded(task: CheckTask) -> Verdict:
     values = graph.values
     bits_of: dict[tuple, tuple] = {}  # node -> its atom bits
 
-    def project(chain: list[tuple]) -> Trace:
-        return Trace(tuple(State(sliced.expand(values[sid]), task.ts) for sid, _ in chain))
+    def project(sids: list[int]) -> Trace:
+        return Trace(tuple(State(sliced.expand(values[sid]), task.ts) for sid in sids))
 
     def unsliced(p: Poison, at_init: bool) -> str:
         """p's message, quoting the task's rule and not the folded one."""
@@ -374,27 +467,60 @@ def check_bounded(task: CheckTask) -> Verdict:
         return str(ModelStepError(p.var, p.value, v.next))
 
     # a node is (state id, latch values); entries are (node, obligation,
-    # parent entry or None), keyed by (node, obligation)
+    # parent), keyed by (node, obligation). A parent is the entry the node
+    # was reached from; for an entry the level phase hands over it is the
+    # position of the node's first parent in level `leave - 1`, and at
+    # depth 0 it is None.
     frontier: dict[tuple, tuple] = {}
     # decided states only step to find a poisoned step, which no latch can
     # cause (latches are booleans), so they are kept as ids, in the order reached
     settled: dict[int, None] = {}
-    init_ids, init_poison = graph.initial()
-    for sid in init_ids:
-        node = (sid, latch0)
-        bits = bits_of[node] = atom_fn(values[sid] + latch0)
-        res = progress(root, bits)
-        if res == BOT:
-            return Counterexample(project([node]), task.formula, 0)
+    poison: Optional[tuple[int, str]] = None
+    init_poison = graph.initial()[1]
+    # the level phase: the frontier is all of level `leave` under `obligation`
+    obligation, leave = root, 0
+    while True:
+        level = graph.level(leave, budget)
+        if level is None:
+            return Timeout(budget.elapsed())
+        level_bits = [atom_fn(values[sid] + latch0) for sid in level.ids]
+        results = dict.fromkeys(level_bits)  # distinct bits -> obligation
+        for bits in results:
+            res = results[bits] = progress(obligation, bits)
+            if res == BOT:
+                chain = graph.path(leave, level_bits.index(bits))
+                return Counterexample(project(chain), task.formula, leave)
+        if leave == 0:
+            if init_poison is not None:
+                return ModelError(0, unsliced(init_poison, True))
+        elif poison is None and level.poison is not None:
+            poison = (leave, unsliced(level.poison, False))
+        decided = set(results.values())
+        if latches or len(decided) != 1:
+            break
+        (obligation,) = decided
+        if obligation == TOP:
+            if poison is not None:
+                return ModelError(*poison)
+            for depth in range(leave + 1, task.bound_k + 1):
+                level = graph.level(depth, budget)
+                if level is None:
+                    return Timeout(budget.elapsed())
+                if level.poison is not None:
+                    return ModelError(depth, unsliced(level.poison, False))
+            return NoCounterexampleWithinBound(task.bound_k, all_paths_decided=True)
+        if leave == task.bound_k:
+            break
+        leave += 1
+    for i, sid in enumerate(level.ids):
+        res = results[level_bits[i]]
         if res == TOP:
             settled[sid] = None
-        elif (node, res) not in frontier:
-            frontier[(node, res)] = (node, res, None)
-    if init_poison is not None:
-        return ModelError(0, unsliced(init_poison, True))
+        else:
+            node = (sid, latch0)
+            frontier[(node, res)] = (node, res, level.parents[i] if leave else None)
 
-    poison: Optional[tuple[int, str]] = None
-    for depth in range(1, task.bound_k + 1):
+    for depth in range(leave + 1, task.bound_k + 1):
         if not frontier and not settled:
             break
         new_frontier: dict[tuple, tuple] = {}
@@ -416,11 +542,13 @@ def check_bounded(task: CheckTask) -> Verdict:
                     bits = bits_of[node] = atom_fn(values[nid] + latch)
                 res = progress(obligation, bits)
                 if res == BOT:
-                    chain = [node]
-                    while entry is not None:
-                        chain.append(entry[0])
+                    chain = [nid]
+                    while isinstance(entry, tuple):
+                        chain.append(entry[0][0])
                         entry = entry[2]
                     chain.reverse()
+                    if entry is not None:
+                        chain[:0] = graph.path(leave - 1, entry)
                     return Counterexample(project(chain), task.formula, depth)
                 if res == TOP:
                     new_settled[nid] = None

@@ -230,6 +230,11 @@ def cmd_check(args) -> int:
                                       timeout=args.timeout))
     if isinstance(verdict, Counterexample):
         replayed = replay_counterexample(ts, verdict.trace, formula)
+        if replayed is not PrefixVerdict.VIOLATED:
+            # batch files the same case as an ERROR unit, with no trace
+            print(f"ERROR: {name}: the counterexample at step {verdict.violation_step} "
+                  f"failed replay: {replayed.value}")
+            return 2
         print(f"VIOLATED: {name} at step {verdict.violation_step} "
               f"(replay: {replayed.value})")
         text_trace = trace_to_text(verdict.trace)

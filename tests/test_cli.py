@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -7,6 +8,7 @@ from fsmcheck.cli import main
 from fsmcheck.driver import (
     load_failure_catalog, load_target_matrix, parse_spec_file, plan_batch,
 )
+from fsmcheck.ltl import PrefixVerdict
 from fsmcheck.vcs import VcsConfig, generate_vcs_model
 
 
@@ -60,6 +62,21 @@ def test_check_formula_violation(bundle_dir, capsys, tmp_path):
     assert "VIOLATED" in out and "step 15" in out
     assert trace_file.exists()
 
+
+
+def test_check_counterexample_that_fails_replay_is_an_error(bundle_dir, capsys, tmp_path):
+    trace_file = tmp_path / "cex.trace"
+    with patch("fsmcheck.cli.replay_counterexample", return_value=PrefixVerdict.INCONCLUSIVE):
+        code = main([
+            "check", str(bundle_dir / "vcs.fsm"),
+            "--formula", "G[0,20] !(Mode = Normal)",
+            "--bound", "20", "--trace-out", str(trace_file),
+        ])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out == ("ERROR: <command line>: the counterexample at step 15 "
+                   "failed replay: inconclusive\n")
+    assert not trace_file.exists()
 
 def test_check_print_deps(bundle_dir, capsys):
     code = main([
