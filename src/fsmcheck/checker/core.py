@@ -54,18 +54,35 @@ would add only one candidate to each successor product. Each
 counterexample state is put back to full width, with the constants at
 their indices, before the Trace is built, and a ModelError quotes the
 unsliced rule, so the verdict is the one the unsliced system gives.
+
+The sliced system's depth clock, if it has one (`deps.depth_clock`; a VCS
+instance's `Step`), is held out of the graph's states in turn. Every state
+at depth d holds the clock's value at d, so dropping it is a bijection on
+each level that keeps first-encounter order and first parents. The graph
+interns a state with the clock held at its init value, and the kernel
+reads the clock only through its inputs, the maximal subexpressions of the
+next rules that read the clock alone, which the graph evaluates at each
+depth's clock value: that tuple is the depth's signature, and the clock
+never leaves its domain. Two depths with one signature therefore step a
+state to the same successors, or the same Poison, and the graph memoizes
+a step per (state id, signature). So the frontiers, verdicts, violation
+steps, model errors and traces are those of the search over the full
+states; a trace puts back each depth's clock value. The atoms and latch
+rules of a formula that read the clock are evaluated on the state at its
+depth, and all others once per search node, as without a clock.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from ..ltl import formula as F
 from ..ltl.past import eliminate_past
-from ..semantics.exec import ModelStepError, _emit, initial_states, next_values
-from ..semantics.system import FExpr, State, Trace, TransitionSystem, Value
-from .deps import ConstantSlice, sequential_constants, slice_constants
+from ..semantics.exec import ModelStepError, _emit, eval_fexpr, initial_states, step_kernel
+from ..semantics.system import FExpr, State, Trace, TransitionSystem, Value, collect_refs
+from .deps import Clock, ConstantSlice, depth_clock, sequential_constants, slice_constants
 
 
 @dataclass(frozen=True)
@@ -286,7 +303,7 @@ def _compile_tuple(name: str, items: list[str]):
     src = f"def {name}(s):\n    return ({', '.join(items)},)\n"
     ns: dict = {}
     exec(compile(src, f"<{name}>", "exec"), ns)
-    return ns[name]
+    return ns.pop(name)  # so the function and its globals form no cycle
 
 
 # --- the shared state graph -------------------------------------------------
@@ -311,11 +328,19 @@ class Level(NamedTuple):
 class StateGraph:
     """The reachable states of a sliced system, explored on demand.
 
-    A state is interned as an int, its id, when it is first reached. Each
-    id's successor ids are memoized in the kernel's lexicographic order; a
-    poisoned step is memoized as its Poison. Every check of the system the
-    graph is cached on reads and extends the same graph, so the kernel steps
-    each state at most once, whichever spec reaches it first.
+    A state is interned as an int, its id, when it is first reached. With
+    a depth clock, a state is interned with the clock held at its init
+    value: every state at one depth holds the same clock value, which
+    `at(depth)` puts back. The kernel reads the clock only through its
+    inputs, the maximal subexpressions of the next rules that read the
+    clock alone; a depth's signature is their values at that depth's clock
+    value. Each id's successor ids are memoized per signature, in the
+    kernel's lexicographic order; a poisoned step is memoized as its
+    Poison. So the kernel steps a state once per signature it is reached
+    at, not once per depth. Without a clock, every depth has the one empty
+    signature. Every check of the system the graph is cached on reads and
+    extends the same graph, so the kernel steps each state at most once
+    per signature, whichever spec reaches it first.
 
     The graph also keeps its breadth-first levels, built on demand and only
     as deep as some check asked for. Level 0 is the initial ids; level d+1
@@ -326,10 +351,15 @@ class StateGraph:
     level is cached only once it is complete.
     """
 
-    def __init__(self, sliced: ConstantSlice):
+    def __init__(self, sliced: ConstantSlice, clock: Optional[Clock]):
         self.sliced = sliced
-        self.values: list[tuple] = []  # id -> sliced value tuple
-        self._succ: list = []          # id -> successor ids, a Poison, or None
+        self.clock = clock
+        self._kernel, self._inputs = step_kernel(
+            sliced.system, None if clock is None else clock.index)
+        self.values: list[tuple] = []  # id -> sliced value tuple, the clock held
+        self._succ: list[list] = []    # signature -> id -> successor ids, a Poison, or None
+        self._keys: list[tuple] = []   # signature -> the values of the kernel's inputs
+        self._signatures: list[int] = []  # depth -> its signature
         self._ids: dict[tuple, int] = {}
         self._initial: Optional[tuple[tuple[int, ...], Optional[Poison]]] = None
         self._levels: list[Level] = []
@@ -339,8 +369,31 @@ class StateGraph:
         if sid is None:
             sid = self._ids[values] = len(self.values)
             self.values.append(values)
-            self._succ.append(None)
+            for succ in self._succ:
+                succ.append(None)
         return sid
+
+    def signature(self, depth: int) -> int:
+        """The signature of depth, as a small int."""
+        signatures = self._signatures
+        while len(signatures) <= depth:
+            key = ()
+            if self.clock is not None:
+                probe: list = [None] * len(self.sliced.system.variables)
+                probe[self.clock.index] = self.clock.at(len(signatures))
+                key = tuple(eval_fexpr(e, probe) for e in self._inputs)
+            if key not in self._keys:
+                self._keys.append(key)
+                self._succ.append([None] * len(self.values))
+            signatures.append(self._keys.index(key))
+        return signatures[depth]
+
+    def at(self, depth: int) -> Sequence[tuple]:
+        """id -> the sliced value tuple of that state at depth, with the
+        clock's value put back."""
+        if self.clock is None:
+            return self.values
+        return _AtDepth(self.values, self.clock.index, self.clock.at(depth))
 
     def initial(self) -> tuple[tuple[int, ...], Optional[Poison]]:
         """The initial state ids in the unsliced system's init order, and the
@@ -356,15 +409,18 @@ class StateGraph:
             self._initial = (tuple(ids), poison)
         return self._initial
 
-    def step(self, sid: int):
-        """sid's successor ids, or the Poison of its step."""
-        out = self._succ[sid]
+    def step(self, sid: int, depth: int):
+        """The successor ids of sid at depth, or the Poison of its step."""
+        sig = self.signature(depth)
+        succ = self._succ[sig]
+        out = succ[sid]
         if out is None:
             try:
-                out = tuple(map(self.intern, next_values(self.sliced.system, self.values[sid])))
+                cands = self._kernel(self.values[sid], self._keys[sig])
+                out = tuple(map(self.intern, itertools.product(*cands)))
             except ModelStepError as err:
                 out = Poison(err.var, err.value)
-            self._succ[sid] = out
+            succ[sid] = out
         return out
 
     def level(self, depth: int, budget: TimeoutBudget) -> Optional[Level]:
@@ -373,8 +429,9 @@ class StateGraph:
         levels = self._levels
         if not levels:
             levels.append(Level(tuple(dict.fromkeys(self.initial()[0])), (), None))
-        succ = self._succ
         while len(levels) <= depth:
+            d = len(levels) - 1
+            succ = self._succ[self.signature(d)]
             first: dict[int, int] = {}  # id -> its first parent's position
             poison = None
             for i, sid in enumerate(levels[-1].ids):
@@ -382,7 +439,7 @@ class StateGraph:
                     return None
                 out = succ[sid]
                 if out is None:
-                    out = self.step(sid)
+                    out = self.step(sid, d)
                 if isinstance(out, Poison):
                     if poison is None:
                         poison = out
@@ -406,11 +463,27 @@ class StateGraph:
         return ids
 
 
+class _AtDepth:
+    """A graph's value tuples with the clock's value at one depth put back."""
+
+    __slots__ = ("values", "index", "value")
+
+    def __init__(self, values: list[tuple], index: int, value: Value):
+        self.values = values
+        self.index = index
+        self.value = value
+
+    def __getitem__(self, sid: int) -> tuple:
+        s = self.values[sid]
+        return s[:self.index] + (self.value,) + s[self.index + 1:]
+
+
 def state_graph(ts: TransitionSystem) -> StateGraph:
-    """ts's state graph, built on its constant slice at the first call and
-    cached on ts."""
+    """ts's state graph, built on its constant slice and that slice's depth
+    clock at the first call, and cached on ts."""
     if ts._graph is None:
-        ts._graph = StateGraph(slice_constants(ts, sequential_constants(ts)))
+        sliced = slice_constants(ts, sequential_constants(ts))
+        ts._graph = StateGraph(sliced, depth_clock(sliced.system))
     return ts._graph
 
 
@@ -439,6 +512,11 @@ def check_bounded(task: CheckTask) -> Verdict:
     past-operator latches, whose nodes carry latch values the levels do not,
     the level becomes explicit (node, obligation) entries, and the
     per-entry search takes over from the next depth.
+
+    Both phases step a state at depth d through the graph, under depth d's
+    signature. When an atom or a latch rule reads the depth clock, atoms
+    and latches are evaluated on the states at their depth, and the
+    per-node memo of atom bits lasts one depth.
     """
     budget = TimeoutBudget(task.timeout)
     graph = state_graph(task.ts)
@@ -453,11 +531,19 @@ def check_bounded(task: CheckTask) -> Verdict:
     root = _nnf(formula, False, ob, atom_ids)
     atom_fn = _compile_tuple("_atoms", [f"bool({_emit(a)})" for a in atom_ids])
     progress = ob.progress
-    values = graph.values
-    bits_of: dict[tuple, tuple] = {}  # node -> its atom bits
+    # at(depth): the states' values as the atoms and latches read them at
+    # depth; unless they read the clock, the graph's own serve every depth
+    reads: set[int] = set()
+    for e in [*atom_ids, *(v.next for v in latches)]:
+        collect_refs(e, reads)
+    timed = graph.clock is not None and graph.clock.index in reads
+    at = graph.at if timed else lambda depth: graph.values
+    bits_of: dict[tuple, tuple] = {}  # node -> its atom bits, at one depth if timed
 
     def project(sids: list[int]) -> Trace:
-        return Trace(tuple(State(sliced.expand(values[sid]), task.ts) for sid in sids))
+        """The states of a path from depth 0, at full width."""
+        return Trace(tuple(State(sliced.expand(graph.at(d)[sid]), task.ts)
+                           for d, sid in enumerate(sids)))
 
     def unsliced(p: Poison, at_init: bool) -> str:
         """p's message, quoting the task's rule and not the folded one."""
@@ -483,7 +569,8 @@ def check_bounded(task: CheckTask) -> Verdict:
         level = graph.level(leave, budget)
         if level is None:
             return Timeout(budget.elapsed())
-        level_bits = [atom_fn(values[sid] + latch0) for sid in level.ids]
+        now = at(leave)
+        level_bits = [atom_fn(now[sid] + latch0) for sid in level.ids]
         results = dict.fromkeys(level_bits)  # distinct bits -> obligation
         for bits in results:
             res = results[bits] = progress(obligation, bits)
@@ -525,21 +612,24 @@ def check_bounded(task: CheckTask) -> Verdict:
             break
         new_frontier: dict[tuple, tuple] = {}
         new_settled: dict[int, None] = {}
+        before, now = at(depth - 1), at(depth)
+        if timed:
+            bits_of.clear()
         for entry in frontier.values():
             if budget.exceeded():
                 return Timeout(budget.elapsed())
             (sid, latch), obligation, _parent = entry
-            out = graph.step(sid)
+            out = graph.step(sid, depth - 1)
             if isinstance(out, Poison):
                 if poison is None:
                     poison = (depth, unsliced(out, False))
                 continue
-            latch = latch_fn(values[sid] + latch)
+            latch = latch_fn(before[sid] + latch)
             for nid in out:
                 node = (nid, latch)
                 bits = bits_of.get(node)
                 if bits is None:
-                    bits = bits_of[node] = atom_fn(values[nid] + latch)
+                    bits = bits_of[node] = atom_fn(now[nid] + latch)
                 res = progress(obligation, bits)
                 if res == BOT:
                     chain = [nid]
@@ -558,7 +648,7 @@ def check_bounded(task: CheckTask) -> Verdict:
             for sid in settled:
                 if budget.exceeded():
                     return Timeout(budget.elapsed())
-                out = graph.step(sid)
+                out = graph.step(sid, depth - 1)
                 if isinstance(out, Poison):
                     poison = (depth, unsliced(out, False))
                     break

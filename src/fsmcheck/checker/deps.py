@@ -1,4 +1,4 @@
-"""Variable dependencies and sequential constants.
+"""Variable dependencies, sequential constants and the depth clock.
 
 A sequential constant is a variable whose init is a constant c in its
 domain and whose next rule, once every sequential constant is substituted
@@ -9,15 +9,27 @@ constant propagation that precedes cone-of-influence reduction (Clarke,
 Grumberg & Peled, *Model Checking*, 1999; NuSMV applies it with `-coi`).
 The checker checks every system sliced this way; no per-spec cone of
 influence is applied on top.
+
+A depth clock is a variable whose init is a constant in its domain and
+whose next rule reads no other variable and holds no set literal, such as
+a saturating step counter. Every state at depth d holds the same value of
+it, which iterating the rule from the init value gives, until a value
+repeats; the values never leave the domain, or the variable is no clock.
+`depth_clock` finds the first clock of a sliced system. The checker keeps
+it out of its state graph: each guard that reads the clock is a function
+of the depth, and depths on which all such guards agree, a region in the
+sense of Alur & Dill (*A theory of timed automata*, TCS 1994), step a
+clock-free state to the same successors.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from ..semantics.exec import _init_order
+from ..semantics.exec import _init_order, eval_fexpr
 from ..semantics.system import (
-    Const, FExpr, TransitionSystem, Value, VarDef, VarRef, collect_refs, fold,
-    format_fexpr, same_const,
+    Const, FBinary, FCase, FChoice, FExpr, FUnary, TransitionSystem, Value,
+    VarDef, VarRef, collect_refs, fold, format_fexpr, same_const,
 )
 
 
@@ -116,9 +128,68 @@ def slice_constants(ts: TransitionSystem, consts: dict[int, Value]) -> ConstantS
                          [env[i].index for i in order if i not in consts])
 
 
+@dataclass(frozen=True)
+class Clock:
+    """A depth clock: variable index of a system, with its value at each
+    depth."""
+
+    index: int
+    name: str
+    values: tuple  # by depth from 0, up to and including the first repeat
+    loop: int      # the depth of the value that the last one repeats
+
+    @property
+    def period(self) -> int:
+        return len(self.values) - 1 - self.loop
+
+    def at(self, depth: int) -> Value:
+        if depth > self.loop:
+            depth = self.loop + (depth - self.loop) % self.period
+        return self.values[depth]
+
+
+def depth_clock(ts: TransitionSystem) -> Optional[Clock]:
+    """The first variable of ts, in variable order, that is a depth clock,
+    or None."""
+    for i, v in enumerate(ts.variables):
+        if not (isinstance(v.init, Const) and v.next is not None
+                and v.domain.contains(v.init.value) and not _has_choice(v.next)):
+            continue
+        reads: set[int] = set()
+        collect_refs(v.next, reads)
+        if not reads <= {i}:
+            continue
+        values = [v.init.value]
+        depth_of = {v.init.value: 0}
+        probe: list = [None] * len(ts.variables)
+        while True:
+            probe[i] = values[-1]
+            value = eval_fexpr(v.next, probe)
+            if not v.domain.contains(value):
+                break
+            values.append(value)
+            if value in depth_of:
+                return Clock(i, v.name, tuple(values), depth_of[value])
+            depth_of[value] = len(values) - 1
+    return None
+
+
+def _has_choice(e: FExpr) -> bool:
+    if isinstance(e, FChoice):
+        return True
+    if isinstance(e, FUnary):
+        return _has_choice(e.operand)
+    if isinstance(e, FBinary):
+        return _has_choice(e.left) or _has_choice(e.right)
+    if isinstance(e, FCase):
+        return any(_has_choice(x) for arm in e.arms for x in arm)
+    return False
+
+
 def format_dependency_report(ts: TransitionSystem) -> str:
     graph = dependency_graph(ts)
-    consts = {ts.variables[i].name: c for i, c in sequential_constants(ts).items()}
+    found = sequential_constants(ts)
+    consts = {ts.variables[i].name: c for i, c in found.items()}
     lines = ["variable dependencies (next-state reads):"]
     for name in sorted(graph):
         if ts.var(name).next is None:
@@ -130,4 +201,12 @@ def format_dependency_report(ts: TransitionSystem) -> str:
         lines.append(f"  {name} <- {deps}")
     lines.append(f"sequential constants, left out before checking: "
                  f"{len(consts)} of {len(graph)} variables")
+    clock = depth_clock(slice_constants(ts, found).system)
+    if clock is None:
+        lines.append("depth clock: none")
+    else:
+        values = ", ".join(format_fexpr(Const(c)) for c in clock.values)
+        lines.append(f"depth clock, held out of the state graph: {clock.name} = {values} "
+                     f"at depths 0 to {len(clock.values) - 1}; from depth {clock.loop} "
+                     f"it cycles with period {clock.period}")
     return "\n".join(lines)

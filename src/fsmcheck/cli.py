@@ -97,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--timeout", type=_positive_float, default=None)
     check.add_argument("--trace-out", default=None)
     check.add_argument("--print-deps", action="store_true",
-                       help="print the variable-dependency graph and the "
-                            "sequential constants (diagnostic)")
+                       help="print the variable-dependency graph, the "
+                            "sequential constants and the depth clock (diagnostic)")
     check.set_defaults(func=cmd_check)
 
     sim = sub.add_parser("simulate", help="simulate a model")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import AbstractSet, Optional
 
 KINDS = ("ecu", "power", "bus", "p2p", "composite")
 FATAL = "FATAL"
@@ -95,7 +95,7 @@ class TargetModeMatrix:
 
 
 def load_target_matrix(path, catalog: FailureCatalog,
-                       modes: Optional[set[str]] = None) -> TargetModeMatrix:
+                       modes: Optional[AbstractSet[str]] = None) -> TargetModeMatrix:
     """Load and dimension-check the N x N matrix against the catalog axes.
 
     Mode names are validated when the template's mode universe is supplied;

@@ -1,20 +1,25 @@
 """Stepping and evaluation over elaborated systems.
 
-One compiled kernel owns stepping. `_ops` compiles a system's next rules,
-once, into `_step_all`: it returns every variable's candidate tuple,
+One emitter compiles step kernels. `step_kernel` compiles a system's next
+rules into `_step_all(s, k)`: it returns every variable's candidate tuple,
 then checks the candidates of each int-range variable that has a next rule
 against its domain. The first out-of-range value, in variable order, raises
 ModelStepError: the step is poisoned, and a poisoned step has no successors.
-next_values (which the checker's state graph calls), successors,
-is_successor and simulate all step through this kernel. The latches that
-past-operator elimination appends are ordinary variables, which the kernel
-can step; the checker keeps them out of its state graph and steps them with
-one compiled function of the current state (see checker.core).
+Given a clock variable, the kernel reads it only through inputs: each
+maximal subexpression that reads the clock and no other variable is emitted
+as `k[j]`, which the caller evaluates at the clock's value (the checker's
+state graph does, see checker.core), and the clock's own candidate is its
+init value, unchecked. Without a clock, k is empty. `_ops` caches a
+system's clock-free kernel, through which successors, is_successor and
+simulate step. The latches that past-operator elimination appends are
+ordinary variables, which the kernel can step; the checker keeps them out
+of its state graph and steps them with one compiled function of the
+current state.
 
 Successor enumeration is lexicographic over the ordered variable list with
 set-literal choices in listed order, so every enumerator-based test is
 deterministic. eval_fexpr and rule_candidates are the reference tree-walking
-evaluators, used for init rules, spec atoms and tests.
+evaluators, used for init rules, spec atoms, kernel inputs and tests.
 """
 from __future__ import annotations
 
@@ -134,6 +139,9 @@ def rule_candidates(e: FExpr, values: tuple) -> tuple[Value, ...]:
 # --- compiled stepping ----------------------------------------------------
 
 
+_NO_INPUTS: dict[int, str] = {}
+
+
 class _Ops:
     __slots__ = ("step_all", "init_order")
 
@@ -142,61 +150,116 @@ class _Ops:
         self.init_order = init_order
 
 
-def _emit(e: FExpr) -> str:
+def _emit(e: FExpr, sub: dict[int, str] = _NO_INPUTS) -> str:
+    """e as a Python expression over the state tuple s; a node whose id sub
+    maps is emitted as the name it maps to."""
+    name = sub.get(id(e))
+    if name is not None:
+        return name
     if isinstance(e, VarRef):
         return f"s[{e.index}]"
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, FUnary):
-        return f"(not {_emit(e.operand)})" if e.op == "!" else f"(-{_emit(e.operand)})"
+        operand = _emit(e.operand, sub)
+        return f"(not {operand})" if e.op == "!" else f"(-{operand})"
     if isinstance(e, FBinary):
         op = e.op
+        left, right = _emit(e.left, sub), _emit(e.right, sub)
         if op == "&":
-            return f"({_emit(e.left)} and {_emit(e.right)})"
+            return f"({left} and {right})"
         if op == "|":
-            return f"({_emit(e.left)} or {_emit(e.right)})"
+            return f"({left} or {right})"
         if op == "->":
-            return f"((not {_emit(e.left)}) or {_emit(e.right)})"
+            return f"((not {left}) or {right})"
         py = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
               "+": "+", "-": "-"}[op]
-        return f"({_emit(e.left)} {py} {_emit(e.right)})"
+        return f"({left} {py} {right})"
     if isinstance(e, FCase):
-        return _emit_case(e.arms, _emit)
+        return _emit_case(e.arms, _emit, sub)
     if isinstance(e, FChoice):
         raise ValueError("set literal in value position")
     raise TypeError(f"unknown flat expression {e!r}")
 
 
-def _emit_case(arms, leaf) -> str:
+def _emit_case(arms, leaf, sub: dict[int, str]) -> str:
     guard, result = arms[0]
     if len(arms) == 1 or (isinstance(guard, Const) and guard.value is True):
-        return leaf(result)
-    return f"({leaf(result)} if {_emit(guard)} else {_emit_case(arms[1:], leaf)})"
+        return leaf(result, sub)
+    return (f"({leaf(result, sub)} if {_emit(guard, sub)} "
+            f"else {_emit_case(arms[1:], leaf, sub)})")
 
 
-def _emit_candidates(e: FExpr) -> str:
+def _emit_candidates(e: FExpr, sub: dict[int, str]) -> str:
+    name = sub.get(id(e))
+    if name is not None:
+        return f"({name},)"
     if isinstance(e, FChoice):
-        items = ", ".join(_emit(i) for i in e.items)
+        items = ", ".join(_emit(i, sub) for i in e.items)
         return f"_uniq(({items},))"
     if isinstance(e, FCase):
-        return _emit_case(e.arms, _emit_candidates)
-    return f"({_emit(e)},)"
+        return _emit_case(e.arms, _emit_candidates, sub)
+    return f"({_emit(e, sub)},)"
+
+
+def _clock_inputs(e: FExpr, clock: int, sub: dict[int, str], inputs: list[FExpr]) -> int:
+    """How e reads variable clock: 0 if it reads no variable, 1 if it reads
+    clock alone, 2 if it reads another variable or holds a set literal.
+
+    Each maximal proper subexpression of e that reads clock alone becomes
+    an input, in one bottom-up pass: it is appended to inputs, and its id
+    maps to the name `k[j]` in sub.
+    """
+    if isinstance(e, VarRef):
+        return 1 if e.index == clock else 2
+    if isinstance(e, FUnary):
+        parts: tuple = (e.operand,)
+    elif isinstance(e, FBinary):
+        parts = (e.left, e.right)
+    elif isinstance(e, FCase):
+        parts = tuple(x for arm in e.arms for x in arm)
+    elif isinstance(e, FChoice):
+        parts = e.items
+    else:
+        return 0
+    reads = [_clock_inputs(x, clock, sub, inputs) for x in parts]
+    out = 2 if isinstance(e, FChoice) else max(reads)
+    if out == 2:
+        for x, r in zip(parts, reads):
+            if r == 1:
+                sub[id(x)] = f"k[{len(inputs)}]"
+                inputs.append(x)
+    return out
 
 
 def _uniq(t: tuple) -> tuple:
     return tuple(dict.fromkeys(t))
 
 
-def _ops(ts: TransitionSystem) -> _Ops:
-    if ts._ops is not None:
-        return ts._ops
+def step_kernel(ts: TransitionSystem, clock: Optional[int] = None):
+    """ts's compiled step function `_step_all(s, k=())`, and the inputs that
+    k holds the values of, in order.
+
+    With clock, the index of a variable whose init is a constant and whose
+    next rule reads no other variable, the kernel reads that variable only
+    through the inputs, which the caller evaluates at its value; its own
+    candidate is its init value, unchecked.
+    """
+    sub: dict[int, str] = {}
+    inputs: list[FExpr] = []
     parts = []
     checks = []
     for i, v in enumerate(ts.variables):
         if v.next is None:
             parts.append(repr(v.domain.values()))
             continue
-        parts.append(_emit_candidates(v.next))
+        if i == clock:
+            parts.append(f"({v.init.value!r},)")
+            continue
+        if clock is not None and _clock_inputs(v.next, clock, sub, inputs) == 1:
+            sub[id(v.next)] = f"k[{len(inputs)}]"
+            inputs.append(v.next)
+        parts.append(_emit_candidates(v.next, sub))
         if isinstance(v.domain, IntDomain):
             checks.append(
                 f"    for x in c[{i}]:\n"
@@ -204,13 +267,19 @@ def _ops(ts: TransitionSystem) -> _Ops:
                 f"            raise ModelStepError(_vars[{i}].name, x, _vars[{i}].next)\n"
             )
     body = (",\n        ".join(parts) + ",") if parts else ""
-    src = f"def _step_all(s):\n    c = (\n        {body}\n    )\n{''.join(checks)}    return c\n"
-    # the namespace holds the variables but not ts, so no reference cycle forms
+    src = f"def _step_all(s, k=()):\n    c = (\n        {body}\n    )\n{''.join(checks)}    return c\n"
+    # the namespace holds the variables but not ts, and not the function
+    # either, whose globals it is: no reference cycle forms, and the kernel
+    # is freed with its last user, not at the next cyclic collection
     ns: dict = {"_uniq": _uniq, "_vars": ts.variables, "ModelStepError": ModelStepError}
     exec(compile(src, f"<step:{ts.source_name}>", "exec"), ns)
-    ops = _Ops(ns["_step_all"], _init_order(ts))
-    ts._ops = ops
-    return ops
+    return ns.pop("_step_all"), tuple(inputs)
+
+
+def _ops(ts: TransitionSystem) -> _Ops:
+    if ts._ops is None:
+        ts._ops = _Ops(step_kernel(ts)[0], _init_order(ts))
+    return ts._ops
 
 
 def _init_order(ts: TransitionSystem) -> list[int]:
@@ -280,19 +349,14 @@ def initial_states(ts: TransitionSystem,
     yield from expand(0)
 
 
-def next_values(ts: TransitionSystem, values: tuple) -> Iterator[tuple]:
-    """Value tuples of all one-step successors, in lexicographic candidate
+def successors(ts: TransitionSystem, s: State) -> Iterator[State]:
+    """All one-step successors of s as States, in lexicographic candidate
     order.
 
     Raises ModelStepError at the call, before anything is yielded, when the
-    step from values is poisoned.
+    step from s is poisoned.
     """
-    return itertools.product(*_ops(ts).step_all(values))
-
-
-def successors(ts: TransitionSystem, s: State) -> Iterator[State]:
-    """All one-step successors of s as States; see next_values."""
-    return (State(values, ts) for values in next_values(ts, s.values))
+    return (State(values, ts) for values in itertools.product(*_ops(ts).step_all(s.values)))
 
 
 def is_successor(ts: TransitionSystem, s: State, t: State) -> bool:
@@ -429,7 +493,8 @@ def resolve_expr(ts: TransitionSystem, expr: ast.Expr) -> FExpr:
 def infer_kind(ts: TransitionSystem, e: FExpr) -> str:
     """Kind of a flat expression, 'bool', 'int' or 'enum', under the model's
     typing rules: `!`, `&`, `|` and `->` take booleans; `+`, `-` and the
-    order comparisons take ints; `=` and `!=` take two operands of one kind;
+    order comparisons take ints; `=` and `!=` take two operands of one kind,
+    and two enum operands must share a symbol;
     case guards are boolean, the last one literal TRUE, and all arms have one
     kind. Raises ResolutionError on an ill-typed operand."""
     if isinstance(e, VarRef):
@@ -452,6 +517,11 @@ def infer_kind(ts: TransitionSystem, e: FExpr) -> str:
             left, right = infer_kind(ts, e.left), infer_kind(ts, e.right)
             if left != right:
                 raise ResolutionError(f"cannot compare {left} with {right} in {format_fexpr(e)!r}")
+            if left == "enum":
+                a, b = _enum_symbols(ts, e.left), _enum_symbols(ts, e.right)
+                if a is not None and b is not None and not a & b:
+                    raise ResolutionError("enum comparison can never hold (disjoint symbols) "
+                                          f"in {format_fexpr(e)!r}")
             return "bool"
         want = "bool" if e.op in ("&", "|", "->") else "int"
         _need(ts, f"operator {e.op!r}", want, e.left, e.right)
@@ -466,6 +536,23 @@ def infer_kind(ts: TransitionSystem, e: FExpr) -> str:
             raise ResolutionError(f"case arms mix kinds {sorted(kinds)}")
         return kinds.pop()
     raise ResolutionError(f"unsupported expression {format_fexpr(e)!r}")
+
+
+def _enum_symbols(ts: TransitionSystem, e: FExpr) -> Optional[frozenset]:
+    """The symbols an enum-kind expression can take, or None if unknown."""
+    if isinstance(e, VarRef):
+        return frozenset(ts.variables[e.index].domain.symbols)
+    if isinstance(e, Const):
+        return frozenset((e.value,))
+    if isinstance(e, FCase):
+        out: frozenset = frozenset()
+        for _, result in e.arms:
+            symbols = _enum_symbols(ts, result)
+            if symbols is None:
+                return None
+            out |= symbols
+        return out
+    return None
 
 
 def _need(ts: TransitionSystem, what: str, want: str, *operands: FExpr) -> str:

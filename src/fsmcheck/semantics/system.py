@@ -254,11 +254,11 @@ class VarDef:
 
 
 class TransitionSystem:
-    """Immutable after construction, apart from two lazy caches: the
-    compiled step kernel (`_ops`, see semantics.exec), made at first use,
-    and the checker's state graph (`_graph`, see checker.core), which grows
-    as checks of the system explore it. Neither changes what the system
-    means."""
+    """Immutable after construction, apart from three lazy caches: the
+    compiled step kernel (`_ops`, see semantics.exec) and the enum symbols
+    (`_symbols`), made at first use, and the checker's state graph
+    (`_graph`, see checker.core), which grows as checks of the system
+    explore it. None of them changes what the system means."""
 
     def __init__(
         self,
@@ -274,6 +274,7 @@ class TransitionSystem:
             raise ValueError("duplicate qualified variable name")
         self._ops = None  # compiled lazily
         self._graph = None  # explored lazily, by the checks of this system
+        self._symbols: Optional[frozenset[str]] = None
 
     def var(self, name: str) -> VarDef:
         return self.variables[self.index[name]]
@@ -281,12 +282,13 @@ class TransitionSystem:
     def names(self) -> list[str]:
         return [v.name for v in self.variables]
 
-    def symbol_universe(self) -> set[str]:
-        syms: set[str] = set()
-        for v in self.variables:
-            if isinstance(v.domain, EnumDomain):
-                syms.update(v.domain.symbols)
-        return syms
+    def symbol_universe(self) -> frozenset[str]:
+        """Every symbol of the system's enum domains."""
+        if self._symbols is None:
+            self._symbols = frozenset(
+                sym for v in self.variables if isinstance(v.domain, EnumDomain)
+                for sym in v.domain.symbols)
+        return self._symbols
 
 
 @dataclass(frozen=True)

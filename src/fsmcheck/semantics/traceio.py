@@ -42,10 +42,14 @@ def _parse_value(text: str, domain) -> Value:
 
 def trace_to_text(trace: Trace) -> str:
     blocks = []
+    system = order = None
     for i, state in enumerate(trace.states):
+        if state.system is not system:
+            system = state.system
+            order = [(name, system.index[name]) for name in sorted(system.index)]
+        values = state.values
         lines = [f"step {i}"]
-        for name in sorted(state.system.index):
-            lines.append(f"{name} = {format_value(state[name])}")
+        lines += [f"{name} = {format_value(values[j])}" for name, j in order]
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 

@@ -183,38 +183,57 @@ def random_past_formula(rng: random.Random, names: list[str], depth: int) -> str
     return f"!(({past}) & ({second}))"
 
 
-def random_int_model(rng: random.Random) -> str:
+def random_int_model(rng: random.Random, counter: bool = False) -> str:
     """Model source with small int-range variables whose next rules can leave
     their range, sometimes inside a {...} choice, plus free booleans. At most
-    two ints and one boolean keep path enumeration small for the oracle."""
+    two ints and one boolean keep path enumeration small for the oracle.
+
+    With counter, a step counter t is declared among them: it starts at a
+    constant and counts up to its top, where it stays or wraps to 0. Some
+    int rules and the boolean's rule are guarded by it, as the injection
+    window guards of an instance are, and int_model_atoms reads it."""
     n_ints = rng.randrange(1, 3)
     n_bools = rng.randrange(0, 2)
     ints = [f"n{i}" for i in range(n_ints)]
     his = [rng.randrange(1, 4) for _ in ints]
-    lines = ["MODULE main", "VAR"]
-    for n, hi in zip(ints, his):
-        lines.append(f"  {n} : 0..{hi};")
-    for j in range(n_bools):
-        lines.append(f"  b{j} : boolean;")
-    lines.append("ASSIGN")
+    decls = [f"  {n} : 0..{hi};" for n, hi in zip(ints, his)]
+    decls += [f"  b{j} : boolean;" for j in range(n_bools)]
+    rules = []
     for n, hi in zip(ints, his):
         pick = rng.randrange(3)
         if pick == 0:
-            lines.append(f"  init({n}) := {rng.randrange(0, hi + 1)};")
+            rules.append(f"  init({n}) := {rng.randrange(0, hi + 1)};")
         elif pick == 1:
-            lines.append(f"  init({n}) := {{0, {hi}}};")
+            rules.append(f"  init({n}) := {{0, {hi}}};")
         other = rng.choice(ints)
         step = rng.choice([f"{other} + 1", f"{n} - 1", f"{n} + {other}"])
-        rules = [
+        options = [
             step,
             f"{{{step}, 0}}",
             f"{{{n}, {step}}}",
             f"case {n} >= {hi} : 0; TRUE : {n} + 1; esac",
         ]
         if n_bools:
-            rules.append(f"case b{rng.randrange(n_bools)} : {step}; TRUE : {n}; esac")
-        lines.append(f"  next({n}) := {rng.choice(rules)};")
-    return "\n".join(lines) + "\n"
+            options.append(f"case b{rng.randrange(n_bools)} : {step}; TRUE : {n}; esac")
+        if counter and rng.random() < 0.7:
+            c = rng.randrange(0, 5)
+            options = [
+                f"case t >= {c} : {step}; TRUE : {n}; esac",
+                f"case t + 1 = {c} : {{{n}, {step}}}; {n} < t : {n} + 1; TRUE : {n}; esac",
+                f"case t < {c} & {n} = 0 : {{0, 1}}; TRUE : {n}; esac",
+            ]
+        rules.append(f"  next({n}) := {rng.choice(options)};")
+    if counter:
+        top = rng.randrange(1, 6)
+        end = rng.choice(["t", "0"])
+        decls.insert(rng.randrange(len(decls) + 1), f"  t : 0..{top};")
+        rules.append(f"  init(t) := {rng.randrange(0, top + 1)};")
+        rules.append(f"  next(t) := case t = {top} : {end}; TRUE : t + 1; esac;")
+        if n_bools and rng.random() < 0.7:
+            lo = rng.randrange(0, top + 1)
+            rules.append(f"  next(b0) := case b0 : {{TRUE, FALSE}}; "
+                         f"t + 1 >= {lo} & t < {top} : {{FALSE, TRUE}}; TRUE : FALSE; esac;")
+    return "\n".join(["MODULE main", "VAR", *decls, "ASSIGN", *rules]) + "\n"
 
 
 def int_model_atoms(ts) -> list[str]:

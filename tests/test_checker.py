@@ -12,8 +12,8 @@ from fsmcheck.checker import (
 )
 from fsmcheck.lang import parse_model, validate_model
 from fsmcheck.ltl import PrefixVerdict, eliminate_past, parse_ltl
-from fsmcheck.checker.core import TimeoutBudget
-from fsmcheck.checker.deps import sequential_constants
+from fsmcheck.checker.core import TimeoutBudget, state_graph
+from fsmcheck.checker.deps import depth_clock, sequential_constants
 from fsmcheck.semantics import (
     BoolDomain, Const, State, Trace, TransitionSystem, VarDef, elaborate, trace_to_text,
 )
@@ -498,3 +498,94 @@ def test_constant_atom_is_decided_by_the_state_that_reads_it():
                 assert fast.violation_step == slow.violation_step == 1, (text, k)
             else:
                 assert fast.all_paths_decided == slow.all_paths_decided, (text, k)
+
+
+def _clock_free_check(src, text, bound):
+    """check_bounded with no depth clock found, on a system built for it
+    alone: the kernel then steps the counter like any other variable."""
+    ts = build(src)
+    with patch("fsmcheck.checker.core.depth_clock", return_value=None):
+        return check_bounded(CheckTask(ts, parse_ltl(text, ts), bound_k=bound))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_clock_matches_clock_free_check(seed):
+    """Holding a step counter out of the state graph changes nothing in a
+    verdict or a trace, for specs checked in sequence on one system.
+    Guards, atoms and past operators read the counter, which saturates or
+    wraps, and the rules it guards can leave their range."""
+    rng = random.Random(seed)
+    src = random_int_model(rng, counter=True)
+    ts = build(src)
+    if ts.index["t"] not in sequential_constants(ts):
+        assert state_graph(ts).clock is not None, src
+    atoms = int_model_atoms(ts)
+    for i in range(rng.randrange(1, 4)):
+        pick = rng.randrange(3)
+        if pick == 2:
+            trigger, response = (random_bool_expr(rng, atoms, 1) for _ in range(2))
+            lo = rng.randrange(0, 4)
+            text = f"G ({trigger} -> X F[{lo},{lo + rng.randrange(0, 4)}] ({response}))"
+        else:
+            make = random_past_formula if pick else random_future_formula
+            text = make(rng, atoms, rng.randrange(1, 4))
+        bound = rng.randrange(0, 13)
+        task = CheckTask(ts, parse_ltl(text, ts), bound_k=bound)
+        clocked = check_bounded(task)
+        reference = _clock_free_check(src, text, bound)
+        case = f"spec {i}: {text}, k={bound}\n{src}"
+        assert clocked == reference, f"{case}\n{clocked} vs {reference}"
+        if isinstance(clocked, Counterexample):
+            assert trace_to_text(clocked.trace) == trace_to_text(reference.trace), case
+        if bound <= 3:  # the oracle enumerates every path
+            _assert_agrees_with_oracle(task, clocked, case)
+
+
+def test_depth_clock_values():
+    # saturating: n counts to 20 and stays there
+    clock = depth_clock(build(COUNTER))
+    assert (clock.name, clock.values, clock.loop) == ("n", tuple(range(21)) + (20,), 20)
+    assert [clock.at(d) for d in (0, 7, 20, 21, 95)] == [0, 7, 20, 20, 20]
+    wrap = "MODULE main\nVAR t : 0..3;\nASSIGN\n  init(t) := 1;\n" \
+           "  next(t) := case t = 3 : 0; TRUE : t + 1; esac;\n"
+    clock = depth_clock(build(wrap))
+    assert (clock.values, clock.loop, clock.period) == ((1, 2, 3, 0, 1), 0, 4)
+    assert [clock.at(d) for d in range(9)] == [1, 2, 3, 0, 1, 2, 3, 0, 1]
+    # a choice, or a read of another variable, makes no clock
+    for rule in ("{t, 0}", "case b : t; TRUE : 0; esac"):
+        src = f"MODULE main\nVAR t : 0..3; b : boolean;\nASSIGN\n  init(t) := 0;\n  next(t) := {rule};\n"
+        assert depth_clock(build(src)) is None, rule
+
+
+LEAVING = """
+MODULE main
+VAR
+  x : boolean;
+  t : 0..3;
+ASSIGN
+  init(t) := 0;
+  next(t) := t + 1;
+  init(x) := FALSE;
+  next(x) := t >= 2;
+"""
+
+
+def test_counter_leaving_its_domain_is_no_clock():
+    # t would be 4 at step 4: t is stepped by the kernel, which poisons that step
+    ts = build(LEAVING)
+    assert depth_clock(ts) is None
+    for text in ("G TRUE", "G (t < 3 | x)", "G (x -> O (t = 2))"):
+        verdict = check_bounded(CheckTask(ts, parse_ltl(text, ts), bound_k=6))
+        assert verdict == ModelError(
+            4, "value 4 for 't' is outside its domain; offending rule: (t + 1)"), text
+
+
+def test_clock_reading_atoms_see_the_depth():
+    # every state holds n = its depth; the atoms and the past operator read n
+    ts = build(COUNTER)
+    assert state_graph(ts).clock.name == "n"
+    verdict = check_bounded(CheckTask(ts, parse_ltl("G (n < 4 | Y (n = 3))", ts), bound_k=9))
+    assert isinstance(verdict, Counterexample) and verdict.violation_step == 5
+    assert [s["n"] for s in verdict.trace] == [0, 1, 2, 3, 4, 5]
+    assert [s["x"] for s in verdict.trace] == [False, False, False, False, True, True]

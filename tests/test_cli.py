@@ -91,6 +91,31 @@ def test_check_print_deps(bundle_dir, capsys):
     mode = next(line for line in out.splitlines() if line.startswith("  Mode <- "))
     assert "constant" not in mode
     assert "sequential constants, left out before checking: " in out
+    assert out.splitlines()[-2] == (
+        "depth clock, held out of the state graph: Step = "
+        + ", ".join(map(str, range(72))) + ", 71 at depths 0 to 72; "
+        "from depth 71 it cycles with period 1")
+
+
+def test_check_print_deps_without_clock(tmp_path, capsys):
+    model = tmp_path / "toggle.fsm"
+    model.write_text("MODULE main\nVAR b : boolean; c : boolean;\nASSIGN\n"
+                     "  init(b) := FALSE;\n  next(b) := !c;\n")
+    assert main(["check", str(model), "--print-deps"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "depth clock: none"
+
+
+def test_check_enum_atom_with_disjoint_symbols_is_an_input_error(tmp_path, capsys):
+    # Aa is a symbol of e, not of Mode: the atom can never hold
+    model = tmp_path / "enums.fsm"
+    model.write_text("MODULE main\nVAR\n  Mode : {Off, On};\n  e : {Aa, Bb};\n"
+                     "ASSIGN\n  init(Mode) := Off;\n")
+    for text in ("G (Mode = Aa)", "G !(Mode != Bb)", "G (e = Off | Mode = On)"):
+        assert main(["check", str(model), "--formula", text]) == 2, text
+        captured = capsys.readouterr()
+        assert "enum comparison can never hold (disjoint symbols)" in captured.err, text
+        assert captured.out == ""
+    assert main(["check", str(model), "--formula", "G (Mode = Off)", "--bound", "2"]) == 1
 
 
 def test_batch_cli_range(bundle_dir, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 from dataclasses import replace
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from fsmcheck.checker import CheckTask, NoCounterexampleWithinBound, check_bounded
+from fsmcheck.checker.core import state_graph
 from fsmcheck.driver import (
     CatalogError, FailureEntry, InstantiationError, MatrixError, PlannedTask,
     PlanRangeError, SpecFileError, injection_assertions, instance_system,
@@ -370,6 +372,22 @@ def test_injection_assumptions_hold(desk, desk6):
             f = parse_ltl(text, ts)
             verdict = check_bounded(CheckTask(ts, f, bound_k=70))
             assert isinstance(verdict, NoCounterexampleWithinBound), (build.__name__, name, verdict)
+
+
+def test_instance_steps_once_per_guard_region(desk, desk6):
+    # the injection guards read Step + 1 against 15, 39 and 40 (axis a) and
+    # 16 and 40 (axis b): six regions of depths, one kernel signature each
+    catalog, matrix, specs = desk6
+    task = plan_batch(catalog, matrix, specs, (3, 5, 3, 5)).tasks[0]
+    assert task.scenario == "double"
+    ts = instance_system(elaborate(parse_model(desk.model_text)), task, (15, 40))
+    graph = state_graph(ts)
+    assert graph.clock.name == "Step"
+    assert graph.clock.values == tuple(range(72)) + (71,)
+    regions = [list(group) for _, group in itertools.groupby(range(72), graph.signature)]
+    assert [(r[0], r[-1]) for r in regions] == [
+        (0, 13), (14, 14), (15, 37), (38, 38), (39, 39), (40, 71)]
+    assert len({graph.signature(r[0]) for r in regions}) == 6
 
 
 # --- batch execution ----------------------------------------------------------

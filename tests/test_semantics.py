@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,8 @@ from fsmcheck.semantics import (
     scripted_chooser, seeded_random_chooser, simulate, successors, trace_from_text,
     trace_to_text,
 )
+
+from fsmcheck.semantics.exec import step_kernel
 
 from helpers import fixture_text, random_int_model
 
@@ -373,3 +377,26 @@ def test_kernel_matches_tree_walker(seed):
             if isinstance(got, list):
                 reached.extend(got)
         layer = list(dict.fromkeys(reached))
+
+
+def test_symbol_universe_is_computed_once_and_frozen():
+    ts = build("MODULE main\nVAR m : {Aa, Bb}; n : {Bb, Cc}; x : boolean;\n")
+    symbols = ts.symbol_universe()
+    assert symbols == {"Aa", "Bb", "Cc"}
+    assert isinstance(symbols, frozenset)
+    assert ts.symbol_universe() is symbols
+
+
+def test_compiled_kernel_is_freed_with_its_last_user():
+    # the kernel's globals do not hold the kernel, so no cycle keeps it
+    # alive until the next cyclic collection
+    ts = build(TWO_BOOL)
+    gc.disable()
+    try:
+        kernel, inputs = step_kernel(ts)
+        assert kernel((True, False)) == ((False,), (True,)) and inputs == ()
+        ref = weakref.ref(kernel)
+        del kernel
+        assert ref() is None
+    finally:
+        gc.enable()
