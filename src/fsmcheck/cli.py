@@ -212,7 +212,11 @@ def cmd_check(args) -> int:
         name = "<command line>"
     elif args.prop and args.specs:
         catalog = parse_spec_file(args.specs)
-        entry = catalog.get(args.prop)
+        try:
+            entry = catalog.get(args.prop)
+        except KeyError:
+            print(f"error: no spec named {args.prop!r} in {args.specs}", file=sys.stderr)
+            return 2
         if entry.placeholders:
             print(f"error: spec {args.prop!r} has placeholders; check it via batch",
                   file=sys.stderr)

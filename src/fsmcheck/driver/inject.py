@@ -195,6 +195,7 @@ def instance_system(
         tuple(variables),
         defines=template.defines,
         source_name=template.source_name,
+        define_types=template.define_types,
     )
 
 

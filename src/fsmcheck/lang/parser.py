@@ -36,7 +36,7 @@ def parse_model(text: str) -> ModelAst:
 
 
 def parse_expr_text(text: str) -> Expr:
-    """Parse a standalone expression (parse_state_expr and tests use this)."""
+    """Parse a standalone expression (the tests use this)."""
     ts = TokenStream(tokenize(text))
     expr = _parse_expr(ts)
     ts.expect("EOF", "end of expression")

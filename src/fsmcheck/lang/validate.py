@@ -9,7 +9,12 @@ together. It reports what it finds as diagnostics instead of raising.
 
 `validate_model` returns those diagnostics, and `semantics.elaborate`
 returns the flat system or raises on them, so an empty error list means the
-model elaborates.
+model elaborates. The system keeps each define's type next to its flat
+expression.
+
+`bind_atom` runs the same walk over one spec atom against a flat system:
+only name lookup differs, so a spec atom is accepted or rejected by the
+rules, and with the diagnostics, that govern model text.
 """
 from __future__ import annotations
 
@@ -98,7 +103,7 @@ class _Validator:
         self._bind(self._scope(main, ""))
         if any(d.severity == "error" for d in self.diags):
             return None
-        variables, defines = [], {}
+        variables, defines, types = [], {}, {}
         for scope in self.scopes:
             for v in scope.module.vars:
                 variables.append(VarDef(
@@ -107,8 +112,10 @@ class _Validator:
                     next=scope.rules.get(("next", v.name)),
                 ))
             for d in scope.module.defines:
-                defines[scope.qualify(d.name)] = scope.resolved[d.name][0]
-        return TransitionSystem(tuple(variables), defines=defines, source_name=source_name)
+                name = scope.qualify(d.name)
+                defines[name], types[name] = scope.resolved[d.name]
+        return TransitionSystem(tuple(variables), defines=defines,
+                                source_name=source_name, define_types=types)
 
     # -- module table and per-module syntactic checks --------------------
 
@@ -496,6 +503,39 @@ class _Validator:
             return self._expr(owner, arg)
 
 
+def bind_atom(ts: TransitionSystem, expr: Expr) -> tuple[FExpr, str, list[Diagnostic]]:
+    """A spec atom resolved against a flat system: its flat expression, its
+    kind ('bool', 'int', 'enum' or 'error') and its diagnostics, by the rules
+    that type model text. A name is a variable of ts, else one of its
+    defines, else one of its enum symbols."""
+    b = _AtomBinder(ts)
+    b._check_choice_positions(expr, choice_ok=False)
+    b._check_case_defaults(expr)
+    flat, t = b._expr(None, expr)
+    return flat, t[0], b.diags
+
+
+class _AtomBinder(_Validator):
+    """The binding walk over a flat system: only name lookup differs."""
+
+    def __init__(self, ts: TransitionSystem):
+        # the walk over one expression needs none of the module state
+        self.ts = ts
+        self.diags: list[Diagnostic] = []
+
+    def _name(self, scope, name: Name, alias: bool = False):
+        qname = name.text
+        index = self.ts.index.get(qname)
+        if index is not None:
+            return VarRef(index, qname), _type_of_domain(self.ts.variables[index].domain)
+        if qname in self.ts.defines:
+            return self.ts.defines[qname], self.ts.define_types[qname]
+        if len(name.parts) == 1 and qname in self.ts.symbol_universe():
+            return Const(qname), _enum(frozenset([qname]))
+        self.error("unresolved", f"unresolved identifier {qname!r}", name.span)
+        return _FAILED
+
+
 # What an expression that did not resolve stands for; a model with any error
 # diagnostic gets no system, so the placeholder never reaches one.
 _FAILED = (Const(False), _ERROR)
@@ -509,6 +549,14 @@ def _type_of_var(vt: VarType) -> tuple:
     if isinstance(vt, EnumType):
         return _enum(frozenset(vt.symbols))
     return _ERROR
+
+
+def _type_of_domain(domain: Domain) -> tuple:
+    if isinstance(domain, IntDomain):
+        return _INT
+    if isinstance(domain, EnumDomain):
+        return _enum(frozenset(domain.symbols))
+    return _BOOL
 
 
 def _span_of(expr: Expr) -> Optional[Span]:

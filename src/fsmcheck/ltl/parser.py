@@ -15,8 +15,10 @@ with at most one comparison on top, so it binds tighter than any formula
 operator. A formula-level `(` opens a grouped formula; the same text is
 read as an atom instead when the grouped reading fails or a comparison
 follows its `)`, so `(a | b) U c` is an Until over an Or while
-`(Step + 1) = 5` and `(a) = b` are atoms. Each atom is type-checked by the
-model's rules (`infer_kind`) and must be boolean.
+`(Step + 1) = 5` and `(a) = b` are atoms. Each atom is resolved and typed
+by the binding walk that types model text (`lang.validate.bind_atom`), so
+it is rejected with the validator's diagnostic code, and it must be
+boolean.
 
 The names X, U, R, F, G, O, Y, H are reserved for operators in spec text.
 Atom identifiers are qualified variable names, DEFINE names, or enum
@@ -28,7 +30,7 @@ from ..lang import ast
 from ..lang.lexer import ParseError, TokenStream, tokenize
 from ..lang.parser import CMP_OPS, parse_comparison
 from ..lang.printer import print_expr
-from ..semantics.exec import ResolutionError, infer_kind, resolve_expr
+from ..lang.validate import bind_atom
 from ..semantics.system import TransitionSystem
 from . import formula as F
 
@@ -131,11 +133,11 @@ class _Parser:
         )
 
     def _atomize(self, expr: ast.Expr, tok) -> F.Atom:
-        try:
-            flat = resolve_expr(self.system, expr)
-            kind = infer_kind(self.system, flat)
-        except ResolutionError as err:
-            raise ParseError(str(err), tok.line, tok.col)
+        flat, kind, diagnostics = bind_atom(self.system, expr)
+        for d in diagnostics:
+            if d.severity == "error":
+                where = d.span or tok
+                raise ParseError(f"[{d.code}] {d.message}", where.line, where.col)
         if kind != "bool":
             raise ParseError(
                 f"atom {print_expr(expr)!r} is {kind}, not boolean", tok.line, tok.col

@@ -3,8 +3,9 @@
 Parameter passing is by expression aliasing: each parameter occurrence is
 replaced by its argument expression resolved in the caller's scope, so all
 rules end up over qualified variable names and are evaluated against the
-current state only. DEFINEs are inlined into rules but also kept (flattened)
-on the system for spec-atom resolution and diagnostics.
+current state only. DEFINEs are inlined into rules but also kept on the
+system, flattened and with their types, for spec-atom resolution and
+diagnostics.
 
 The walk that flattens the model is the one that validates it
 (`lang.validate.bind_model`), so a model elaborates exactly when

@@ -27,12 +27,9 @@ import itertools
 import random
 from typing import Callable, Iterator, Optional
 
-from ..lang import ast
-from ..lang.parser import parse_expr_text
 from .system import (
-    Const, EnumDomain, FBinary, FCase, FChoice, FExpr, FUnary, IntDomain,
-    State, Trace, TransitionSystem, Value, VarDef, VarRef, collect_refs,
-    format_fexpr,
+    Const, FBinary, FCase, FChoice, FExpr, FUnary, IntDomain, State, Trace,
+    TransitionSystem, Value, VarDef, VarRef, collect_refs, format_fexpr,
 )
 
 
@@ -59,10 +56,6 @@ class ModelStepError(Exception):
 
     def with_step(self, step: int) -> "ModelStepError":
         return ModelStepError(self.var, self.value, self.expr, step)
-
-
-class ResolutionError(Exception):
-    pass
 
 
 # --- reference evaluator --------------------------------------------------
@@ -448,116 +441,3 @@ def simulate(ts: TransitionSystem, steps: int, chooser: Chooser = first_choice) 
                         for v, c in zip(ts.variables, cands))
         states.append(State(current, ts))
     return Trace(tuple(states))
-
-
-# --- resolving source expressions against a system --------------------------
-
-
-def parse_state_expr(ts: TransitionSystem, text: str) -> FExpr:
-    """Parse an expression over qualified variable names, defines, and enum
-    symbols into the system's flat form."""
-    return resolve_expr(ts, parse_expr_text(text))
-
-
-def resolve_expr(ts: TransitionSystem, expr: ast.Expr) -> FExpr:
-    symbols = ts.symbol_universe()
-
-    def walk(e: ast.Expr) -> FExpr:
-        if isinstance(e, ast.BoolLit):
-            return Const(e.value)
-        if isinstance(e, ast.IntLit):
-            return Const(e.value)
-        if isinstance(e, ast.Name):
-            qname = e.text
-            idx = ts.index.get(qname)
-            if idx is not None:
-                return VarRef(idx, qname)
-            if qname in ts.defines:
-                return ts.defines[qname]
-            if len(e.parts) == 1 and qname in symbols:
-                return Const(qname)
-            raise ResolutionError(f"unresolved identifier {qname!r}")
-        if isinstance(e, ast.Unary):
-            return FUnary(e.op, walk(e.operand))
-        if isinstance(e, ast.Binary):
-            return FBinary(e.op, walk(e.left), walk(e.right))
-        if isinstance(e, ast.Case):
-            return FCase(tuple((walk(a.guard), walk(a.result)) for a in e.arms))
-        if isinstance(e, ast.SetLit):
-            raise ResolutionError("set literal not allowed in a state expression")
-        raise ResolutionError(f"unsupported expression node {type(e).__name__}")
-
-    return walk(expr)
-
-
-def infer_kind(ts: TransitionSystem, e: FExpr) -> str:
-    """Kind of a flat expression, 'bool', 'int' or 'enum', under the model's
-    typing rules: `!`, `&`, `|` and `->` take booleans; `+`, `-` and the
-    order comparisons take ints; `=` and `!=` take two operands of one kind,
-    and two enum operands must share a symbol;
-    case guards are boolean, the last one literal TRUE, and all arms have one
-    kind. Raises ResolutionError on an ill-typed operand."""
-    if isinstance(e, VarRef):
-        dom = ts.variables[e.index].domain
-        if isinstance(dom, IntDomain):
-            return "int"
-        if isinstance(dom, EnumDomain):
-            return "enum"
-        return "bool"
-    if isinstance(e, Const):
-        if isinstance(e.value, bool):
-            return "bool"
-        if isinstance(e.value, int):
-            return "int"
-        return "enum"
-    if isinstance(e, FUnary):
-        return _need(ts, f"operator {e.op!r}", "bool" if e.op == "!" else "int", e.operand)
-    if isinstance(e, FBinary):
-        if e.op in ("=", "!="):
-            left, right = infer_kind(ts, e.left), infer_kind(ts, e.right)
-            if left != right:
-                raise ResolutionError(f"cannot compare {left} with {right} in {format_fexpr(e)!r}")
-            if left == "enum":
-                a, b = _enum_symbols(ts, e.left), _enum_symbols(ts, e.right)
-                if a is not None and b is not None and not a & b:
-                    raise ResolutionError("enum comparison can never hold (disjoint symbols) "
-                                          f"in {format_fexpr(e)!r}")
-            return "bool"
-        want = "bool" if e.op in ("&", "|", "->") else "int"
-        _need(ts, f"operator {e.op!r}", want, e.left, e.right)
-        return "int" if e.op in ("+", "-") else "bool"
-    if isinstance(e, FCase):
-        for guard, _ in e.arms:
-            _need(ts, "case guard", "bool", guard)
-        if e.arms[-1][0] != Const(True):
-            raise ResolutionError("case expression must end in a literal TRUE default arm")
-        kinds = {infer_kind(ts, result) for _, result in e.arms}
-        if len(kinds) > 1:
-            raise ResolutionError(f"case arms mix kinds {sorted(kinds)}")
-        return kinds.pop()
-    raise ResolutionError(f"unsupported expression {format_fexpr(e)!r}")
-
-
-def _enum_symbols(ts: TransitionSystem, e: FExpr) -> Optional[frozenset]:
-    """The symbols an enum-kind expression can take, or None if unknown."""
-    if isinstance(e, VarRef):
-        return frozenset(ts.variables[e.index].domain.symbols)
-    if isinstance(e, Const):
-        return frozenset((e.value,))
-    if isinstance(e, FCase):
-        out: frozenset = frozenset()
-        for _, result in e.arms:
-            symbols = _enum_symbols(ts, result)
-            if symbols is None:
-                return None
-            out |= symbols
-        return out
-    return None
-
-
-def _need(ts: TransitionSystem, what: str, want: str, *operands: FExpr) -> str:
-    for operand in operands:
-        got = infer_kind(ts, operand)
-        if got != want:
-            raise ResolutionError(f"{what} needs {want}, got {got} {format_fexpr(operand)!r}")
-    return want

@@ -258,16 +258,25 @@ class TransitionSystem:
     compiled step kernel (`_ops`, see semantics.exec) and the enum symbols
     (`_symbols`), made at first use, and the checker's state graph
     (`_graph`, see checker.core), which grows as checks of the system
-    explore it. None of them changes what the system means."""
+    explore it. None of them changes what the system means.
+
+    `defines` maps each qualified DEFINE name to its flat expression.
+    `define_types` holds each one's type as the binding walk of
+    lang.validate found it; only that module reads it, to type the spec
+    atoms that name a define. A system that spec atoms are not read
+    against (a slice, a system with past-operator latches) may leave it
+    empty."""
 
     def __init__(
         self,
         variables: tuple[VarDef, ...],
         defines: Optional[dict[str, FExpr]] = None,
         source_name: str = "<model>",
+        define_types: Optional[dict[str, tuple]] = None,
     ):
         self.variables = variables
         self.defines = dict(defines or {})
+        self.define_types = dict(define_types or {})
         self.source_name = source_name
         self.index = {v.name: i for i, v in enumerate(variables)}
         if len(self.index) != len(variables):

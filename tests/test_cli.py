@@ -113,7 +113,7 @@ def test_check_enum_atom_with_disjoint_symbols_is_an_input_error(tmp_path, capsy
     for text in ("G (Mode = Aa)", "G !(Mode != Bb)", "G (e = Off | Mode = On)"):
         assert main(["check", str(model), "--formula", text]) == 2, text
         captured = capsys.readouterr()
-        assert "enum comparison can never hold (disjoint symbols)" in captured.err, text
+        assert "[cmp-type] enum comparison can never hold (disjoint symbols)" in captured.err, text
         assert captured.out == ""
     assert main(["check", str(model), "--formula", "G (Mode = Off)", "--bound", "2"]) == 1
 
@@ -236,6 +236,8 @@ def test_input_errors_exit_two_without_traceback(bundle_dir, tmp_path, capsys):
         batch + ["--range", "99", "1", "99", "1"],  # PlanRangeError
         ["check", str(bundle_dir / "vcs.fsm"), "--formula", "O (F Step > 3)"],  # PastEliminationError
         ["check", str(bundle_dir / "vcs.fsm"), "--formula", "G (Mode = 3)"],  # ill-typed atom
+        ["check", str(bundle_dir / "vcs.fsm"), "--prop", "nosuch",
+         "--specs", str(bundle_dir / "specs.ltl")],  # unknown spec name
     ):
         code = main(argv)
         err = capsys.readouterr().err

@@ -136,10 +136,85 @@ VAR
 
 @pytest.mark.parametrize("text", [
     "G ((a + 1) = 2)", "G (Mode = 3)", "G (n = Off)", "G (a < 2)", "G (n = TRUE)",
+    "G (Mode = Step)",
 ])
 def test_parse_rejects_ill_typed_atom(text):
-    with pytest.raises(ParseError):
-        parse_ltl(text, build(TYPED))
+    with pytest.raises(ParseError, match=r"\[(cmp|op)-type\] "):
+        parse_ltl(text, build(TYPED + "  Step : 0..9;\n"))
+
+
+TYPED_DEFINES = """
+MODULE main
+VAR
+  b : boolean;
+  n : 0..5;
+  m : {Off, On, Idle};
+  e : {Aa, Bb};
+  probe : boolean;
+DEFINE
+  db := b & n > 2;
+  dn := n + 1;
+  de := case b : Off; TRUE : On; esac;
+  dc := case n > 2 : Aa; TRUE : Bb; esac;
+"""
+_LEAVES = {"bool": ["b", "db", "TRUE", "FALSE"], "int": ["n", "dn", "0", "3", "7"],
+           "enum": ["m", "e", "de", "dc", "Off", "On", "Idle", "Aa", "Bb"]}
+
+
+def _random_operand(rng: random.Random, kind: str, depth: int) -> str:
+    """Model text of the given kind, but for a slip now and then: a
+    subexpression of another kind, an unknown name, a case with no default
+    or a set literal. Every operand is parenthesized, because a leading `!`
+    binds to the whole atom in spec text and to its first operand in model
+    text."""
+    slip = rng.random()
+    if slip < 0.06:
+        kind = rng.choice(sorted(_LEAVES))
+    elif slip < 0.07:
+        return "zq"
+    pick = rng.random()
+    if depth <= 0 or pick < 0.35:
+        return rng.choice(_LEAVES[kind])
+    sub = lambda k: _random_operand(rng, k, depth - 1)
+    if slip > 0.98:
+        return "{" + f"{sub(kind)}, {sub(kind)}" + "}"
+    if pick < 0.8 and kind == "int":
+        return f"-({sub('int')})" if pick < 0.45 else f"({sub('int')} {rng.choice('+-')} {sub('int')})"
+    if pick < 0.8 and kind == "bool":
+        if pick < 0.45:
+            return f"!({sub('bool')})"
+        if pick < 0.6:
+            return f"({sub('bool')} {rng.choice(['&', '|', '->'])} {sub('bool')})"
+        k = rng.choice(sorted(_LEAVES))
+        op = rng.choice(["<", ">="] if k == "int" else ["=", "!="])
+        return f"({sub(k)} {op} {sub(k)})"
+    arms = [f"{sub('bool')} : {sub(kind)};" for _ in range(rng.randrange(1, 3))]
+    if slip < 0.95:
+        arms.append(f"TRUE : {sub(kind)};")
+    return f"(case {' '.join(arms)} esac)"
+
+
+def test_spec_atoms_are_typed_as_model_text():
+    """An atom is accepted exactly when the same text validates as a boolean
+    define, and both reject it with the same first error code."""
+    rng = random.Random(15)
+    ts = build(TYPED_DEFINES)
+    accepted = 0
+    for _ in range(1500):
+        kind = rng.choice(sorted(_LEAVES))
+        op = rng.choice(["<", ">="] if kind == "int" else ["=", "!="])
+        atom = f"({_random_operand(rng, kind, 3)}) {op} ({_random_operand(rng, kind, 3)})"
+        model = parse_model(TYPED_DEFINES + f"  zz := {atom};\nASSIGN\n  init(probe) := zz;\n")
+        errors = [d.code for d in validate_model(model) if d.severity == "error"]
+        try:
+            parse_ltl(f"G ({atom})", ts)
+        except ParseError as err:
+            assert errors, atom
+            assert err.message.startswith(f"[{errors[0]}] "), (atom, err.message, errors)
+        else:
+            assert errors == [], (atom, errors)
+            accepted += 1
+    assert 300 < accepted < 1200, accepted
 
 
 def test_parenthesis_opens_a_grouped_formula_unless_a_comparison_follows():

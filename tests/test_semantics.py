@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsmcheck.lang import parse_model, validate_model
+from fsmcheck.ltl import parse_ltl
 from fsmcheck.semantics import (
     ElaborationError, IntDomain, ModelStepError, State, elaborate, eval_expr,
-    first_choice, initial_states, parse_state_expr, rule_candidates,
+    first_choice, initial_states, rule_candidates,
     scripted_chooser, seeded_random_chooser, simulate, successors, trace_from_text,
     trace_to_text,
 )
@@ -210,12 +211,13 @@ ASSIGN
     assert o1["m"] == "B"
 
 
-def test_eval_expr_and_parse_state_expr():
+def test_eval_expr_of_spec_atoms():
     ts = build(TWO_BOOL)
     (s0,) = initial_states(ts)
-    e = parse_state_expr(ts, "a & !b")
+    # `a & !b` alone parses as a formula And; compared to TRUE it is one atom
+    e = parse_ltl("(a & !b) = TRUE", ts).expr.left
     assert eval_expr(e, s0) is True
-    e2 = parse_state_expr(ts, "case TRUE : a; esac")
+    e2 = parse_ltl("(case TRUE : a; esac)", ts).expr
     assert eval_expr(e2, s0) is True
 
 
