@@ -4,7 +4,9 @@ Enumerates every initialized path up to the bound in lexicographic successor
 order and evaluates the formula directly with three-valued prefix semantics,
 past operators included, with no elimination and no deduplication. Verdicts
 must equal check_bounded on the same task; this is the ground truth the
-randomized equivalence suites lean on.
+randomized equivalence suites lean on. It steps the system through the
+tree walker of semantics.exec and shares no stepping code with the
+checker, whose state graph steps a compiled kernel.
 """
 from __future__ import annotations
 

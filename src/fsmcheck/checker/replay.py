@@ -1,4 +1,9 @@
-"""Counterexample replay: transition-membership validation plus re-evaluation."""
+"""Counterexample replay: transition-membership validation plus re-evaluation.
+
+Membership is decided by the tree walker of semantics.exec, which shares no
+stepping code with the checker's compiled kernel, so a trace that a faulty
+kernel let the checker reach is rejected here.
+"""
 from __future__ import annotations
 
 from ..ltl import formula as F

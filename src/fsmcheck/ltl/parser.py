@@ -15,10 +15,12 @@ with at most one comparison on top, so it binds tighter than any formula
 operator. A formula-level `(` opens a grouped formula; the same text is
 read as an atom instead when the grouped reading fails or a comparison
 follows its `)`, so `(a | b) U c` is an Until over an Or while
-`(Step + 1) = 5` and `(a) = b` are atoms. Each atom is resolved and typed
-by the binding walk that types model text (`lang.validate.bind_atom`), so
-it is rejected with the validator's diagnostic code, and it must be
-boolean.
+`(Step + 1) = 5` and `(a) = b` are atoms. Likewise `!` negates a formula
+unless the model grammar reads an operator past its operand: `!n = 3` is
+the atom `(!n) = 3`, as in model text, while `!(a = b)` and `!a & b`
+negate. Each atom is resolved and typed by the binding walk that types
+model text (`lang.validate.bind_atom`), so it is rejected with the
+validator's diagnostic code, and it must be boolean.
 
 The names X, U, R, F, G, O, Y, H are reserved for operators in spec text.
 Atom identifiers are qualified variable names, DEFINE names, or enum
@@ -82,6 +84,14 @@ class _Parser:
     def parse_unary(self) -> F.Formula:
         tok = self.s.peek()
         if tok.kind == "NOT":
+            mark = self.s.mark()
+            try:
+                expr = parse_comparison(self.s)
+            except ParseError:
+                expr = None
+            if isinstance(expr, ast.Binary):  # an operator follows the operand of `!`
+                return self._atomize(expr, tok)
+            self.s.reset(mark)
             self.s.advance()
             return F.Not(self.parse_unary())
         if tok.kind == "IDENT" and tok.value in _UNARY_OPS:

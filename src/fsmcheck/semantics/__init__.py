@@ -1,6 +1,6 @@
 from .elaborate import ElaborationError, elaborate
 from .exec import (
-    ModelStepError, eval_expr, first_choice, initial_states, is_successor,
+    ModelStepError, first_choice, initial_states, is_successor,
     rule_candidates, satisfies_init, scripted_chooser, seeded_random_chooser,
     simulate, successors,
 )
@@ -13,7 +13,7 @@ from .traceio import trace_from_text, trace_to_text
 
 __all__ = [
     "elaborate", "ElaborationError",
-    "eval_expr", "initial_states", "successors", "simulate", "is_successor",
+    "initial_states", "successors", "simulate", "is_successor",
     "satisfies_init", "rule_candidates", "ModelStepError",
     "first_choice", "seeded_random_chooser", "scripted_chooser",
     "TransitionSystem", "State", "Trace", "VarDef", "VarRef",

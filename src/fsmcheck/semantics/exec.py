@@ -1,25 +1,26 @@
 """Stepping and evaluation over elaborated systems.
 
-One emitter compiles step kernels. `step_kernel` compiles a system's next
-rules into `_step_all(s, k)`: it returns every variable's candidate tuple,
-then checks the candidates of each int-range variable that has a next rule
-against its domain. The first out-of-range value, in variable order, raises
-ModelStepError: the step is poisoned, and a poisoned step has no successors.
-Given a clock variable, the kernel reads it only through inputs: each
-maximal subexpression that reads the clock and no other variable is emitted
-as `k[j]`, which the caller evaluates at the clock's value (the checker's
-state graph does, see checker.core), and the clock's own candidate is its
-init value, unchecked. Without a clock, k is empty. `_ops` caches a
-system's clock-free kernel, through which successors, is_successor and
-simulate step. The latches that past-operator elimination appends are
-ordinary variables, which the kernel can step; the checker keeps them out
-of its state graph and steps them with one compiled function of the
-current state.
+One emitter for the graph, one tree walker for everything else. Both step
+the same way: each variable's candidates are its next rule's values (set
+literal items in listed order, without repeats), or its domain if it has no
+next rule, and the first candidate outside its variable's domain, in
+variable order, raises ModelStepError: the step is poisoned, and a poisoned
+step has no successors. Only int ranges can be left: the validator keeps
+boolean and enum rules inside their domains.
 
-Successor enumeration is lexicographic over the ordered variable list with
-set-literal choices in listed order, so every enumerator-based test is
-deterministic. eval_fexpr and rule_candidates are the reference tree-walking
-evaluators, used for init rules, spec atoms, kernel inputs and tests.
+`step_kernel` compiles next rules into `_step_all(s, k)`; the checker's
+state graph (checker.core) is its one user. Given a clock variable, the
+kernel reads it only through inputs: each maximal subexpression that reads
+the clock and no other variable is emitted as `k[j]`, which the caller
+evaluates at the clock's value, and the clock's own candidate is its init
+value, unchecked.
+
+The tree walker (`eval_fexpr`, `rule_candidates`) evaluates the flat rules
+directly, for init rules, spec atoms, kernel inputs, and the steps of
+successors, is_successor, initial_states, satisfies_init and simulate. The
+oracle (checker.brute) and replay (checker.replay) step through these, so
+they share no stepping code with the kernel. Successors are enumerated
+lexicographically over the ordered variables, choices in listed order.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import random
 from typing import Callable, Iterator, Optional
 
 from .system import (
-    Const, FBinary, FCase, FChoice, FExpr, FUnary, IntDomain, State, Trace,
+    _BINARY, Const, FBinary, FCase, FChoice, FExpr, FUnary, IntDomain, State, Trace,
     TransitionSystem, Value, VarDef, VarRef, collect_refs, format_fexpr,
 )
 
@@ -62,11 +63,12 @@ class ModelStepError(Exception):
 
 
 def eval_fexpr(e: FExpr, values: tuple) -> Value:
-    if isinstance(e, VarRef):
+    t = type(e)
+    if t is VarRef:
         return values[e.index]
-    if isinstance(e, Const):
+    if t is Const:
         return e.value
-    if isinstance(e, FBinary):
+    if t is FBinary:
         op = e.op
         if op == "&":
             return bool(eval_fexpr(e.left, values)) and bool(eval_fexpr(e.right, values))
@@ -74,46 +76,18 @@ def eval_fexpr(e: FExpr, values: tuple) -> Value:
             return bool(eval_fexpr(e.left, values)) or bool(eval_fexpr(e.right, values))
         if op == "->":
             return (not eval_fexpr(e.left, values)) or bool(eval_fexpr(e.right, values))
-        a = eval_fexpr(e.left, values)
-        b = eval_fexpr(e.right, values)
-        if op == "=":
-            return a == b
-        if op == "!=":
-            return a != b
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        raise ValueError(f"unknown operator {op!r}")
-    if isinstance(e, FUnary):
+        return _BINARY[op](eval_fexpr(e.left, values), eval_fexpr(e.right, values))
+    if t is FUnary:
         v = eval_fexpr(e.operand, values)
         return (not v) if e.op == "!" else -v
-    if isinstance(e, FCase):
+    if t is FCase:
         for guard, result in e.arms:
             if eval_fexpr(guard, values):
                 return eval_fexpr(result, values)
         raise ValueError("case expression fell through (missing TRUE default)")
-    if isinstance(e, FChoice):
+    if t is FChoice:
         raise ValueError("set literal evaluated in value position")
     raise TypeError(f"unknown flat expression {e!r}")
-
-
-def eval_expr(e: FExpr, s: State) -> Value:
-    """Evaluate a choice-free expression on a state.
-
-    Case returns the first arm whose guard is true. Integer arithmetic is
-    exact here; domain membership is enforced where values are assigned to
-    variables, not on intermediate results.
-    """
-    return eval_fexpr(e, s.values)
 
 
 def rule_candidates(e: FExpr, values: tuple) -> tuple[Value, ...]:
@@ -133,14 +107,6 @@ def rule_candidates(e: FExpr, values: tuple) -> tuple[Value, ...]:
 
 
 _NO_INPUTS: dict[int, str] = {}
-
-
-class _Ops:
-    __slots__ = ("step_all", "init_order")
-
-    def __init__(self, step_all, init_order):
-        self.step_all = step_all
-        self.init_order = init_order
 
 
 def _emit(e: FExpr, sub: dict[int, str] = _NO_INPUTS) -> str:
@@ -269,10 +235,7 @@ def step_kernel(ts: TransitionSystem, clock: Optional[int] = None):
     return ns.pop("_step_all"), tuple(inputs)
 
 
-def _ops(ts: TransitionSystem) -> _Ops:
-    if ts._ops is None:
-        ts._ops = _Ops(step_kernel(ts)[0], _init_order(ts))
-    return ts._ops
+# --- tree-walking steps ---------------------------------------------------
 
 
 def _init_order(ts: TransitionSystem) -> list[int]:
@@ -305,15 +268,17 @@ def _init_order(ts: TransitionSystem) -> list[int]:
     return order
 
 
-def _init_candidates(v: VarDef, values: tuple) -> tuple[Value, ...]:
-    """Initial values of v: its domain if it has no init rule, else the
-    rule's candidates on values, each checked against the domain."""
-    if v.init is None:
+def _candidates(v: VarDef, rule: Optional[FExpr], values: tuple,
+                step: Optional[int] = None) -> tuple[Value, ...]:
+    """v's values under rule (its init or next rule) on values: its domain
+    if there is no rule, else the rule's candidates, each checked against
+    the domain."""
+    if rule is None:
         return v.domain.values()
-    cands = rule_candidates(v.init, values)
+    cands = rule_candidates(rule, values)
     for c in cands:
         if not v.domain.contains(c):
-            raise ModelStepError(v.name, c, v.init, step=0)
+            raise ModelStepError(v.name, c, rule, step)
     return cands
 
 
@@ -326,7 +291,7 @@ def initial_states(ts: TransitionSystem,
     dependency order; it must place every variable after those its init
     rule reads.
     """
-    order = _ops(ts).init_order if order is None else order
+    order = _init_order(ts) if order is None else order
     values: list = [None] * len(ts.variables)
 
     def expand(pos: int) -> Iterator[State]:
@@ -334,12 +299,18 @@ def initial_states(ts: TransitionSystem,
             yield State(tuple(values), ts)
             return
         i = order[pos]
-        for c in _init_candidates(ts.variables[i], tuple(values)):
+        v = ts.variables[i]
+        for c in _candidates(v, v.init, tuple(values), step=0):
             values[i] = c
             yield from expand(pos + 1)
         values[i] = None
 
     yield from expand(0)
+
+
+def _step(ts: TransitionSystem, values: tuple) -> list[tuple[Value, ...]]:
+    """Each variable's next-value candidates on values."""
+    return [_candidates(v, v.next, values) for v in ts.variables]
 
 
 def successors(ts: TransitionSystem, s: State) -> Iterator[State]:
@@ -349,7 +320,7 @@ def successors(ts: TransitionSystem, s: State) -> Iterator[State]:
     Raises ModelStepError at the call, before anything is yielded, when the
     step from s is poisoned.
     """
-    return (State(values, ts) for values in itertools.product(*_ops(ts).step_all(s.values)))
+    return (State(values, ts) for values in itertools.product(*_step(ts, s.values)))
 
 
 def is_successor(ts: TransitionSystem, s: State, t: State) -> bool:
@@ -358,7 +329,7 @@ def is_successor(ts: TransitionSystem, s: State, t: State) -> bool:
     A poisoned step has no successors, so nothing follows s then.
     """
     try:
-        cands = _ops(ts).step_all(s.values)
+        cands = _step(ts, s.values)
     except ModelStepError:
         return False
     return all(t.values[i] in c for i, c in enumerate(cands))
@@ -367,10 +338,10 @@ def is_successor(ts: TransitionSystem, s: State, t: State) -> bool:
 def satisfies_init(ts: TransitionSystem, s: State) -> bool:
     """Init-rule membership; an init rule with an out-of-range candidate
     admits no initial state, as in initial_states."""
-    for i in _ops(ts).init_order:
+    for i in _init_order(ts):
         v = ts.variables[i]
         try:
-            if s.values[i] not in _init_candidates(v, s.values):
+            if s.values[i] not in _candidates(v, v.init, s.values, step=0):
                 return False
         except ModelStepError:
             return False
@@ -424,17 +395,16 @@ def simulate(ts: TransitionSystem, steps: int, chooser: Chooser = first_choice) 
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    ops = _ops(ts)
     values: list = [None] * len(ts.variables)
-    for i in ops.init_order:
+    for i in _init_order(ts):
         v = ts.variables[i]
-        cands = _init_candidates(v, tuple(values))
+        cands = _candidates(v, v.init, tuple(values), step=0)
         values[i] = chooser(0, v.name, cands) if len(cands) > 1 else cands[0]
     current = tuple(values)
     states = [State(current, ts)]
     for step in range(1, steps + 1):
         try:
-            cands = ops.step_all(current)
+            cands = _step(ts, current)
         except ModelStepError as err:
             raise err.with_step(step) from None
         current = tuple(chooser(step, v.name, c) if len(c) > 1 else c[0]

@@ -254,11 +254,10 @@ class VarDef:
 
 
 class TransitionSystem:
-    """Immutable after construction, apart from three lazy caches: the
-    compiled step kernel (`_ops`, see semantics.exec) and the enum symbols
-    (`_symbols`), made at first use, and the checker's state graph
+    """Immutable after construction, apart from two lazy caches: the enum
+    symbols (`_symbols`), made at first use, and the checker's state graph
     (`_graph`, see checker.core), which grows as checks of the system
-    explore it. None of them changes what the system means.
+    explore it. Neither changes what the system means.
 
     `defines` maps each qualified DEFINE name to its flat expression.
     `define_types` holds each one's type as the binding walk of
@@ -281,7 +280,6 @@ class TransitionSystem:
         self.index = {v.name: i for i, v in enumerate(variables)}
         if len(self.index) != len(variables):
             raise ValueError("duplicate qualified variable name")
-        self._ops = None  # compiled lazily
         self._graph = None  # explored lazily, by the checks of this system
         self._symbols: Optional[frozenset[str]] = None
 
@@ -307,9 +305,6 @@ class State:
 
     def __getitem__(self, name: str) -> Value:
         return self.values[self.system.index[name]]
-
-    def as_dict(self) -> dict[str, Value]:
-        return {v.name: self.values[i] for i, v in enumerate(self.system.variables)}
 
 
 @dataclass(frozen=True)

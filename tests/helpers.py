@@ -6,12 +6,23 @@ from pathlib import Path
 
 from fsmcheck.lang import ast
 from fsmcheck.semantics import IntDomain
+from fsmcheck.semantics.exec import eval_fexpr
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text()
+
+
+def eval_expr(e, s):
+    """The value of a choice-free flat expression on a state."""
+    return eval_fexpr(e, s.values)
+
+
+def as_dict(s) -> dict:
+    """A state as a map from each variable's name to its value."""
+    return {v.name: s.values[i] for i, v in enumerate(s.system.variables)}
 
 
 # --- random AST generation (round-trip property tests) -------------------

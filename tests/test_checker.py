@@ -15,11 +15,12 @@ from fsmcheck.ltl import PrefixVerdict, eliminate_past, parse_ltl
 from fsmcheck.checker.core import TimeoutBudget, state_graph
 from fsmcheck.checker.deps import depth_clock, sequential_constants
 from fsmcheck.semantics import (
-    BoolDomain, Const, State, Trace, TransitionSystem, VarDef, elaborate, trace_to_text,
+    BoolDomain, Const, State, Trace, TransitionSystem, VarDef, elaborate, simulate, successors,
+    trace_to_text,
 )
 
 from helpers import (
-    int_model_atoms, random_bool_expr, random_bool_model, random_constant_model,
+    as_dict, int_model_atoms, random_bool_expr, random_bool_model, random_constant_model,
     random_future_formula, random_int_model, random_past_formula,
 )
 
@@ -379,6 +380,37 @@ ASSIGN
         replay_counterexample(ts, trace, parse_ltl("G t < 2", ts))
 
 
+def test_replay_rejects_a_successor_only_the_kernel_adds():
+    """The oracle, replay and simulation step without the compiled kernel,
+    so a kernel fault is not confirmed by them."""
+    ts = build(COUNTER)
+    f = parse_ltl("G (x -> n >= 4)", ts)
+    graph = state_graph(ts)
+    x = graph.sliced.system.index["x"]
+    kernel = graph._kernel
+
+    def faulty(s, k=()):
+        cands = list(kernel(s, k))
+        cands[x] = tuple(dict.fromkeys(cands[x] + (True,)))
+        return tuple(cands)
+
+    graph._kernel = faulty
+    verdict = check_bounded(CheckTask(ts, f, bound_k=6))
+    assert isinstance(verdict, Counterexample) and verdict.violation_step == 1
+    with pytest.raises(InvalidTrace, match="not in the transition relation"):
+        replay_counterexample(ts, verdict.trace, f)
+
+    fresh = build(COUNTER)
+    task = CheckTask(fresh, parse_ltl("G n <= 4", fresh), bound_k=6)
+    with patch("fsmcheck.semantics.exec.step_kernel", side_effect=AssertionError("kernel")):
+        found = brute_force_check(task)
+        assert isinstance(found, Counterexample) and found.violation_step == 5
+        assert replay_counterexample(fresh, found.trace, task.formula) is PrefixVerdict.VIOLATED
+        assert [s["n"] for s in simulate(fresh, 3)] == [0, 1, 2, 3]
+        assert [s["n"] for s in successors(fresh, found.trace[0])] == [1]
+        assert fresh._graph is None
+
+
 def _unsliced_check(src, text, bound):
     """check_bounded with no variable taken for a sequential constant, on a
     system built for it alone: a system caches its slice at its first check."""
@@ -474,7 +506,7 @@ def test_sliced_initial_states_keep_the_unsliced_order():
     verdict = check_bounded(CheckTask(ts, parse_ltl("G !(c | a = 0)", ts), bound_k=3))
     assert isinstance(verdict, Counterexample)
     assert verdict.violation_step == 0
-    assert verdict.trace[0].as_dict() == {"a": 0, "k": 2, "c": False, "n": 0}
+    assert as_dict(verdict.trace[0]) == {"a": 0, "k": 2, "c": False, "n": 0}
 
 
 def test_sliced_model_error_quotes_the_unsliced_rule():

@@ -236,6 +236,7 @@ def test_input_errors_exit_two_without_traceback(bundle_dir, tmp_path, capsys):
         batch + ["--range", "99", "1", "99", "1"],  # PlanRangeError
         ["check", str(bundle_dir / "vcs.fsm"), "--formula", "O (F Step > 3)"],  # PastEliminationError
         ["check", str(bundle_dir / "vcs.fsm"), "--formula", "G (Mode = 3)"],  # ill-typed atom
+        ["check", str(bundle_dir / "vcs.fsm"), "--formula", "G (!Step = 3)"],  # `!` on an int
         ["check", str(bundle_dir / "vcs.fsm"), "--prop", "nosuch",
          "--specs", str(bundle_dir / "specs.ltl")],  # unknown spec name
     ):

@@ -19,6 +19,7 @@ from fsmcheck.driver import runner
 from fsmcheck.lang import parse_model, validate_model
 from fsmcheck.ltl import parse_ltl
 from fsmcheck.semantics import elaborate, format_fexpr, scripted_chooser, simulate
+from fsmcheck.semantics.exec import step_kernel
 from fsmcheck.vcs import VcsConfig, generate_vcs_model
 
 from helpers import FIXTURES
@@ -491,6 +492,26 @@ def test_run_batch_builds_each_instance_once(desk, desk6, tmp_path, monkeypatch)
     two = run_batch(plan, template, specs, out_dir=tmp_path / "w2", workers=2)
     assert _without_timing(one) == _without_timing(two)
     assert {s.verdict for s in one.tasks[0].specs} == {"PASS"}
+
+
+def test_run_batch_compiles_one_kernel_per_instance(desk6, tmp_path, monkeypatch):
+    # replay steps the filed traces without a kernel of its own
+    catalog, matrix, specs = desk6
+    plan = plan_batch(catalog, matrix, specs, (6, 3, 6, 4), bound=70)
+    template = elaborate(parse_model(
+        generate_vcs_model(VcsConfig.desk(mutant="swapped-fallback-priority")).model_text))
+    compiled = []
+
+    def counted(ts, *args):
+        compiled.append(ts.source_name)
+        return step_kernel(ts, *args)
+
+    monkeypatch.setattr("fsmcheck.semantics.exec.step_kernel", counted)
+    monkeypatch.setattr("fsmcheck.checker.core.step_kernel", counted)
+    report = run_batch(plan, template, specs, out_dir=tmp_path / "out", workers=1)
+    filed = {(t.row, t.col) for t in report.tasks for s in t.specs if s.trace_path}
+    assert filed == {(6, 3), (6, 4)}
+    assert len(compiled) == len(report.tasks) == 2
 
 
 def test_run_batch_drops_the_last_instance_of_another_template(desk, desk6, tmp_path):

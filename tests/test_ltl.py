@@ -10,9 +10,11 @@ from fsmcheck.ltl import (
 )
 from fsmcheck.ltl import formula as F
 from fsmcheck.semantics import (
-    Const, FBinary, Trace, VarRef, elaborate, eval_expr, initial_states, scripted_chooser, simulate,
+    Const, FBinary, FUnary, Trace, VarRef, elaborate, initial_states, scripted_chooser, simulate,
     seeded_random_chooser, successors,
 )
+
+from helpers import eval_expr
 
 H = PrefixVerdict.HOLDS
 V = PrefixVerdict.VIOLATED
@@ -164,9 +166,7 @@ _LEAVES = {"bool": ["b", "db", "TRUE", "FALSE"], "int": ["n", "dn", "0", "3", "7
 def _random_operand(rng: random.Random, kind: str, depth: int) -> str:
     """Model text of the given kind, but for a slip now and then: a
     subexpression of another kind, an unknown name, a case with no default
-    or a set literal. Every operand is parenthesized, because a leading `!`
-    binds to the whole atom in spec text and to its first operand in model
-    text."""
+    or a set literal."""
     slip = rng.random()
     if slip < 0.06:
         kind = rng.choice(sorted(_LEAVES))
@@ -203,7 +203,7 @@ def test_spec_atoms_are_typed_as_model_text():
     for _ in range(1500):
         kind = rng.choice(sorted(_LEAVES))
         op = rng.choice(["<", ">="] if kind == "int" else ["=", "!="])
-        atom = f"({_random_operand(rng, kind, 3)}) {op} ({_random_operand(rng, kind, 3)})"
+        atom = f"{_random_operand(rng, kind, 3)} {op} {_random_operand(rng, kind, 3)}"
         model = parse_model(TYPED_DEFINES + f"  zz := {atom};\nASSIGN\n  init(probe) := zz;\n")
         errors = [d.code for d in validate_model(model) if d.severity == "error"]
         try:
@@ -228,6 +228,24 @@ def test_parenthesis_opens_a_grouped_formula_unless_a_comparison_follows():
         assert isinstance(parse_ltl(text, ts), F.Atom), text
     with pytest.raises(ParseError, match="unresolved identifier 'NoSuchVar'"):
         parse_ltl("G (a U NoSuchVar)", ts)
+
+
+def test_negation_binds_to_its_operand_as_in_model_text():
+    ts = build(TYPED)
+    a, b, n = (VarRef(ts.index[v], v) for v in ("a", "b", "n"))
+    # an operator after the operand of `!` makes the whole text one atom
+    assert parse_ltl("!a = b", ts) == F.Atom(FBinary("=", FUnary("!", a), b))
+    assert parse_ltl("G (!a != b | a)", ts) == F.Globally(
+        F.Or(F.Atom(FBinary("!=", FUnary("!", a), b)), F.Atom(a)))
+    for text in ("G (!n = 3)", "!n + 1 < 3", "G !n >= 2"):
+        with pytest.raises(ParseError, match=r"\[op-type\] operator '!' needs bool, got int"):
+            parse_ltl(text, ts)
+    # otherwise `!` negates the formula that follows it
+    assert parse_ltl("!(a = b)", ts) == F.Not(F.Atom(FBinary("=", a, b)))
+    assert parse_ltl("!a & b", ts) == F.And(F.Not(F.Atom(a)), F.Atom(b))
+    assert parse_ltl("!X a U b", ts) == F.Until(F.Not(F.Next(F.Atom(a))), F.Atom(b))
+    assert parse_ltl("!(n = 3) = a", ts) == F.Atom(
+        FBinary("=", FUnary("!", FBinary("=", n, Const(3))), a))
 
 
 def test_parse_bad_window(ts):

@@ -9,15 +9,16 @@ from hypothesis import given, settings, strategies as st
 from fsmcheck.lang import parse_model, validate_model
 from fsmcheck.ltl import parse_ltl
 from fsmcheck.semantics import (
-    ElaborationError, IntDomain, ModelStepError, State, elaborate, eval_expr,
-    first_choice, initial_states, rule_candidates,
+    ElaborationError, IntDomain, ModelStepError, State, elaborate,
+    first_choice, initial_states,
     scripted_chooser, seeded_random_chooser, simulate, successors, trace_from_text,
     trace_to_text,
 )
 
-from fsmcheck.semantics.exec import step_kernel
+from fsmcheck.checker.deps import depth_clock
+from fsmcheck.semantics.exec import eval_fexpr, step_kernel
 
-from helpers import fixture_text, random_int_model
+from helpers import as_dict, eval_expr, fixture_text, random_int_model
 
 
 def build(src):
@@ -47,7 +48,7 @@ def test_single_module_two_booleans():
     assert len(states) == 1
     succ = list(successors(ts, states[0]))
     assert len(succ) == 1
-    assert succ[0].as_dict() == {"a": False, "b": True}
+    assert as_dict(succ[0]) == {"a": False, "b": True}
 
 
 def test_free_boolean_init_gives_two_states():
@@ -350,35 +351,56 @@ VAR
     assert trace[1]["e.S_ECU1"] == "Passive"
 
 
-def _reference_step(ts, values):
-    """Successor value tuples by the tree-walker, or ("poison", var, value)
-    for the first out-of-range next value in variable order."""
-    cands = [v.domain.values() if v.next is None else rule_candidates(v.next, values)
-             for v in ts.variables]
-    for v, c in zip(ts.variables, cands):
-        for x in c:
-            if v.next is not None and not v.domain.contains(x):
-                return ("poison", v.name, x)
-    return list(itertools.product(*cands))
+def _outcome(step):
+    """The successor value tuples that step() gives, or ("poison", var,
+    value) when it raises ModelStepError."""
+    try:
+        return list(step())
+    except ModelStepError as err:
+        return ("poison", err.var, err.value)
+
+
+def _assert_kernel_matches_tree_walker(ts, clock=None):
+    """The compiled kernel and the tree walker step every state reachable
+    within 3 steps alike. With a clock, the kernel steps the state with the
+    clock held at its init value and its inputs evaluated at the depth's
+    clock value; the walker steps the state itself."""
+    kernel, inputs = step_kernel(ts, None if clock is None else clock.index)
+
+    def with_clock(values, depth):
+        if clock is None:
+            return values
+        i = clock.index
+        return values[:i] + (clock.at(depth),) + values[i + 1:]
+
+    layer = list(dict.fromkeys(s.values for s in initial_states(ts)))
+    for depth in range(4):
+        probe = [None] * len(ts.variables)
+        if clock is not None:
+            probe[clock.index] = clock.at(depth)
+        k = tuple(eval_fexpr(e, probe) for e in inputs)
+        reached = []
+        for values in layer:
+            assert with_clock(values, depth) == values
+            walked = _outcome(lambda: (t.values for t in successors(ts, State(values, ts))))
+            compiled = _outcome(lambda: (
+                with_clock(t, depth + 1)
+                for t in itertools.product(*kernel(with_clock(values, 0), k))))
+            assert compiled == walked, (depth, values)
+            if isinstance(walked, list):
+                reached.extend(walked)
+        layer = list(dict.fromkeys(reached))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.integers(min_value=0, max_value=2**32))
 def test_kernel_matches_tree_walker(seed):
-    ts = build(random_int_model(random.Random(seed)))
-    layer = list(dict.fromkeys(s.values for s in initial_states(ts)))
-    for _depth in range(4):  # every state reachable within 3 steps
-        reached = []
-        for values in layer:
-            expected = _reference_step(ts, values)
-            try:
-                got = [t.values for t in successors(ts, State(values, ts))]
-            except ModelStepError as err:
-                got = ("poison", err.var, err.value)
-            assert got == expected, values
-            if isinstance(got, list):
-                reached.extend(got)
-        layer = list(dict.fromkeys(reached))
+    rng = random.Random(seed)
+    _assert_kernel_matches_tree_walker(build(random_int_model(rng)))
+    ts = build(random_int_model(rng, counter=True))
+    clock = depth_clock(ts)
+    assert clock is not None
+    _assert_kernel_matches_tree_walker(ts, clock)
 
 
 def test_symbol_universe_is_computed_once_and_frozen():
