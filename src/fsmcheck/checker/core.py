@@ -36,16 +36,22 @@ phase, for as long as one obligation covers all of level d. Then the
 per-entry search at depth d+1 steps level d in order, and a successor's
 result depends on its own atom bits alone, so a repeated visit repeats
 the first one's result. Hence the first bottom it meets is the first
-bottom state of level d+1, reached from its first parent; if every state
-of level d+1 progresses to one obligation, its frontier at d+1 is level
-d+1 under that obligation, in level order; and the first poisoned step it
-meets is that of level d's first poisoned state. When the states of a
-level progress to different obligations, or the bound is reached, the
-level is handed over as explicit entries in level order, and the
-per-entry search goes on from there. When all of them progress to top,
-every path is decided: the per-entry search would then only step the
-levels that follow, in order, to find the first poisoned step within the
-bound, and the levels record it.
+bottom state of level d+1, reached from its first parent; and if every
+state of level d+1 progresses to one obligation, its frontier at d+1 is
+level d+1 under that obligation, in level order. When the states of a
+level progress to different obligations, all to top, or the bound is
+reached, the level's undecided states are handed over as explicit entries
+in level order, and the per-entry search goes on from there.
+
+A model error is the graph's, shared by every spec of an instance: a path
+ends at a poisoned step whatever its obligation, so the search drops a
+poisoned entry, and the levels record the poison. Level 0 holds the init
+rule's, reported before anything else; level d+1 that of level d's first
+poisoned state. With no counterexample, the first poisoned level d >= 1
+within the bound gives ModelError(d). A level is in the order of its
+states' least paths, as sequences of init and successor positions, since
+a state is first reached from its first parent; the oracle's depth-first
+walk meets paths in that order, so both quote the same step of one state.
 
 The constants hold in every reachable state, so the sliced search visits
 the projections of the unsliced search's states in the same order: initial
@@ -322,7 +328,8 @@ class Level(NamedTuple):
 
     ids: tuple[int, ...]       # its states, in first-encounter order
     parents: tuple[int, ...]   # each one's first parent, a position in the level before
-    poison: Optional[Poison]   # the first poisoned step of the level before, if any
+    # level 0: the init rule's, if any; level d+1: level d's first poisoned step
+    poison: Optional[Poison]
 
 
 class StateGraph:
@@ -343,7 +350,8 @@ class StateGraph:
     per signature, whichever spec reaches it first.
 
     The graph also keeps its breadth-first levels, built on demand and only
-    as deep as some check asked for. Level 0 is the initial ids; level d+1
+    as deep as some check asked for. Level 0 is the initial ids, with the
+    Poison of the init rule that cut their enumeration short; level d+1
     is the successors of level d's states whose step is not poisoned,
     deduplicated in first-encounter order (level d in order, each state's
     successors in kernel order), each with the position of its first parent
@@ -361,7 +369,6 @@ class StateGraph:
         self._keys: list[tuple] = []   # signature -> the values of the kernel's inputs
         self._signatures: list[int] = []  # depth -> its signature
         self._ids: dict[tuple, int] = {}
-        self._initial: Optional[tuple[tuple[int, ...], Optional[Poison]]] = None
         self._levels: list[Level] = []
 
     def intern(self, values: tuple) -> int:
@@ -395,20 +402,6 @@ class StateGraph:
             return self.values
         return _AtDepth(self.values, self.clock.index, self.clock.at(depth))
 
-    def initial(self) -> tuple[tuple[int, ...], Optional[Poison]]:
-        """The initial state ids in the unsliced system's init order, and the
-        Poison of the init rule that cut the enumeration short, if any."""
-        if self._initial is None:
-            ids: list[int] = []
-            poison = None
-            try:
-                for s in initial_states(self.sliced.system, self.sliced.init_order):
-                    ids.append(self.intern(s.values))
-            except ModelStepError as err:
-                poison = Poison(err.var, err.value)
-            self._initial = (tuple(ids), poison)
-        return self._initial
-
     def step(self, sid: int, depth: int):
         """The successor ids of sid at depth, or the Poison of its step."""
         sig = self.signature(depth)
@@ -428,7 +421,14 @@ class StateGraph:
         budget runs out first, polled once per state stepped."""
         levels = self._levels
         if not levels:
-            levels.append(Level(tuple(dict.fromkeys(self.initial()[0])), (), None))
+            ids: dict[int, None] = {}
+            poison = None
+            try:
+                for s in initial_states(self.sliced.system, self.sliced.init_order):
+                    ids[self.intern(s.values)] = None
+            except ModelStepError as err:
+                poison = Poison(err.var, err.value)
+            levels.append(Level(tuple(ids), (), poison))
         while len(levels) <= depth:
             d = len(levels) - 1
             succ = self._succ[self.signature(d)]
@@ -497,21 +497,19 @@ def check_bounded(task: CheckTask) -> Verdict:
     verdict, a Counterexample with the earliest possible violation step is
     returned; a counterexample takes precedence over a runtime model error,
     which takes precedence over the bound-limited no-counterexample result.
-    A state whose obligation is decided still steps, without an obligation,
-    until the bound or the first poisoned step, so a model error on any path
-    within the bound is reported.
+    An init rule that leaves its domain is ModelError(0) before all that,
+    as in the oracle. Model errors are read from the graph's levels only.
 
     The search starts in the level phase at level 0. While the frontier is
     all of level d under one obligation, the atoms of each of level d's
     states are evaluated once, and the obligation is progressed once per
     distinct atom-bit value. A bottom result returns the first-parent path
     of the first such state in level order. One common non-top result moves
-    the phase on to level d+1. Top everywhere decides the spec: the levels
-    up to the bound are then only scanned for the first poisoned step. On
-    mixed results, at the bound, or after level 0 for a formula with
-    past-operator latches, whose nodes carry latch values the levels do not,
-    the level becomes explicit (node, obligation) entries, and the
-    per-entry search takes over from the next depth.
+    the phase on to level d+1. On mixed results, all top, at the bound, or
+    after level 0 for a formula with past-operator latches, whose nodes
+    carry latch values the levels do not, the level's undecided states
+    become explicit (node, obligation) entries, and the per-entry search
+    takes over from the next depth.
 
     Both phases step a state at depth d through the graph, under depth d's
     signature. When an atom or a latch rule reads the depth clock, atoms
@@ -552,23 +550,12 @@ def check_bounded(task: CheckTask) -> Verdict:
             return str(ModelStepError(p.var, p.value, v.init, 0))
         return str(ModelStepError(p.var, p.value, v.next))
 
-    # a node is (state id, latch values); entries are (node, obligation,
-    # parent), keyed by (node, obligation). A parent is the entry the node
-    # was reached from; for an entry the level phase hands over it is the
-    # position of the node's first parent in level `leave - 1`, and at
-    # depth 0 it is None.
-    frontier: dict[tuple, tuple] = {}
-    # decided states only step to find a poisoned step, which no latch can
-    # cause (latches are booleans), so they are kept as ids, in the order reached
-    settled: dict[int, None] = {}
-    poison: Optional[tuple[int, str]] = None
-    init_poison = graph.initial()[1]
+    level = graph.level(0, budget)
+    if level.poison is not None:
+        return ModelError(0, unsliced(level.poison, True))
     # the level phase: the frontier is all of level `leave` under `obligation`
     obligation, leave = root, 0
     while True:
-        level = graph.level(leave, budget)
-        if level is None:
-            return Timeout(budget.elapsed())
         now = at(leave)
         level_bits = [atom_fn(now[sid] + latch0) for sid in level.ids]
         results = dict.fromkeys(level_bits)  # distinct bits -> obligation
@@ -577,41 +564,30 @@ def check_bounded(task: CheckTask) -> Verdict:
             if res == BOT:
                 chain = graph.path(leave, level_bits.index(bits))
                 return Counterexample(project(chain), task.formula, leave)
-        if leave == 0:
-            if init_poison is not None:
-                return ModelError(0, unsliced(init_poison, True))
-        elif poison is None and level.poison is not None:
-            poison = (leave, unsliced(level.poison, False))
         decided = set(results.values())
-        if latches or len(decided) != 1:
+        if latches or len(decided) != 1 or TOP in decided or leave == task.bound_k:
             break
         (obligation,) = decided
-        if obligation == TOP:
-            if poison is not None:
-                return ModelError(*poison)
-            for depth in range(leave + 1, task.bound_k + 1):
-                level = graph.level(depth, budget)
-                if level is None:
-                    return Timeout(budget.elapsed())
-                if level.poison is not None:
-                    return ModelError(depth, unsliced(level.poison, False))
-            return NoCounterexampleWithinBound(task.bound_k, all_paths_decided=True)
-        if leave == task.bound_k:
-            break
         leave += 1
+        level = graph.level(leave, budget)
+        if level is None:
+            return Timeout(budget.elapsed())
+    # a node is (state id, latch values); entries are (node, obligation,
+    # parent), keyed by (node, obligation). A parent is the entry the node
+    # was reached from; for an entry the level phase hands over it is the
+    # position of the node's first parent in level `leave - 1`, and at
+    # depth 0 it is None. Only undecided pairs are entries.
+    frontier: dict[tuple, tuple] = {}
     for i, sid in enumerate(level.ids):
         res = results[level_bits[i]]
-        if res == TOP:
-            settled[sid] = None
-        else:
+        if res != TOP:
             node = (sid, latch0)
             frontier[(node, res)] = (node, res, level.parents[i] if leave else None)
 
     for depth in range(leave + 1, task.bound_k + 1):
-        if not frontier and not settled:
+        if not frontier:
             break
         new_frontier: dict[tuple, tuple] = {}
-        new_settled: dict[int, None] = {}
         before, now = at(depth - 1), at(depth)
         if timed:
             bits_of.clear()
@@ -621,8 +597,6 @@ def check_bounded(task: CheckTask) -> Verdict:
             (sid, latch), obligation, _parent = entry
             out = graph.step(sid, depth - 1)
             if isinstance(out, Poison):
-                if poison is None:
-                    poison = (depth, unsliced(out, False))
                 continue
             latch = latch_fn(before[sid] + latch)
             for nid in out:
@@ -640,22 +614,14 @@ def check_bounded(task: CheckTask) -> Verdict:
                     if entry is not None:
                         chain[:0] = graph.path(leave - 1, entry)
                     return Counterexample(project(chain), task.formula, depth)
-                if res == TOP:
-                    new_settled[nid] = None
-                elif (node, res) not in new_frontier:
+                if res != TOP and (node, res) not in new_frontier:
                     new_frontier[(node, res)] = (node, res, entry)
-        if poison is None:
-            for sid in settled:
-                if budget.exceeded():
-                    return Timeout(budget.elapsed())
-                out = graph.step(sid, depth - 1)
-                if isinstance(out, Poison):
-                    poison = (depth, unsliced(out, False))
-                    break
-                new_settled.update(dict.fromkeys(out))
         frontier = new_frontier
-        settled = new_settled if poison is None else {}
 
-    if poison is not None:
-        return ModelError(*poison)
+    for depth in range(1, task.bound_k + 1):
+        level = graph.level(depth, budget)
+        if level is None:
+            return Timeout(budget.elapsed())
+        if level.poison is not None:
+            return ModelError(depth, unsliced(level.poison, False))
     return NoCounterexampleWithinBound(task.bound_k, all_paths_decided=not frontier)

@@ -173,6 +173,55 @@ ASSIGN
     assert oracle.violation_step == 2
 
 
+INIT_POISON = """
+MODULE main
+VAR a : 0..3; b : 0..3;
+ASSIGN
+  init(a) := {0, 3};
+  init(b) := a + 1;
+  next(a) := a;
+  next(b) := b;
+"""
+
+
+def test_init_rule_leaving_its_domain_beats_any_counterexample():
+    # a = 0 gives a state that violates both specs, at step 0 and at step 1;
+    # then b = 4 on a = 3 cuts the initial states short
+    ts = build(INIT_POISON)
+    for text in ("G a != 0", "X a != 0"):
+        f = parse_ltl(text, ts)
+        for k in (0, 2):
+            task = CheckTask(ts, f, bound_k=k)
+            verdict = check_bounded(task)
+            assert verdict == brute_force_check(task), (text, k)
+            assert isinstance(verdict, ModelError) and verdict.step == 0, (text, k)
+
+
+TWO_POISONS = """
+MODULE main
+VAR s : 1..2; x : 0..3; y : 0..3;
+ASSIGN
+  init(s) := {1, 2};
+  next(s) := s;
+  init(x) := 3;
+  next(x) := case s = 2 : x + 1; TRUE : x; esac;
+  init(y) := 3;
+  next(y) := case s = 1 : y + 1; TRUE : y; esac;
+"""
+
+
+def test_model_error_quotes_the_oracles_first_poisoned_state():
+    # both initial states step out of a domain: s = 1 through y, then s = 2
+    # through x, whatever spec is checked or how much of it is decided
+    ts = build(TWO_POISONS)
+    for text in ("s = 1 | X x = 3", "G x >= 0", "O s = 1 | X x = 3"):
+        task = CheckTask(ts, parse_ltl(text, ts), bound_k=3)
+        verdict = check_bounded(task)
+        assert verdict == brute_force_check(task), text
+        assert verdict.step == 1, text
+        assert verdict.detail.startswith("value 4 for 'y' "), text
+
+
 def test_timeout_honored():
     ts = build(COUNTER)
     f = parse_ltl("G n <= 100", ts)
@@ -200,7 +249,8 @@ def test_dependency_graph():
 def _per_entry_check(task):
     """check_bounded with the level phase off: one latch that no atom reads
     makes the search leave the phase at level 0 and run its per-entry loop
-    from the initial states, as it does for a formula with past operators."""
+    from the initial states, as it does for a formula with past operators.
+    Model errors still come from the graph's levels, as with the phase on."""
     def with_idle_latch(f, ts):
         f, ts = eliminate_past(f, ts)
         idle = VarDef("idle latch", BoolDomain(), init=Const(False), next=Const(False))
@@ -215,8 +265,9 @@ def _per_entry_check(task):
 @given(st.integers(min_value=0, max_value=2**32))
 def test_level_phase_matches_per_entry_search(seed):
     """The level phase gives the per-entry search's verdict, field by field,
-    and its counterexample's trace text: whether the phase lasts to the
-    bound, leaves it on a split obligation, or meets a model error."""
+    and its counterexample's trace text, whether the phase lasts to the
+    bound or leaves it on a split obligation. Both sides read a model error
+    from the same levels; the oracle suites check it."""
     rng = random.Random(seed)
     pick = rng.randrange(4)
     if pick < 2:
@@ -363,7 +414,7 @@ def _assert_agrees_with_oracle(task, fast, case):
     if isinstance(fast, NoCounterexampleWithinBound):
         assert fast.all_paths_decided == slow.all_paths_decided, case
     if isinstance(fast, ModelError):
-        assert fast.step == slow.step, case
+        assert fast == slow, case
 
 
 def test_replay_rejects_poisoned_step():

@@ -278,6 +278,16 @@ def test_check_reports_each_model_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_check_init_rule_leaving_its_domain_beats_a_counterexample(tmp_path, capsys):
+    # the state a = 0 violates the spec, but a = 3 gives b = 4 at step 0
+    model = tmp_path / "init.fsm"
+    model.write_text("MODULE main\nVAR a : 0..3; b : 0..3;\nASSIGN\n"
+                     "  init(a) := {0, 3};\n  init(b) := a + 1;\n"
+                     "  next(a) := a;\n  next(b) := b;\n")
+    assert main(["check", str(model), "--formula", "G a != 0"]) == 2
+    assert capsys.readouterr().out.startswith("MODEL ERROR at step 0: value 4 for 'b' ")
+
+
 def test_unwritable_output_paths_exit_two_without_traceback(bundle_dir, tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")

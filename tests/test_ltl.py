@@ -165,13 +165,15 @@ _LEAVES = {"bool": ["b", "db", "TRUE", "FALSE"], "int": ["n", "dn", "0", "3", "7
 
 def _random_operand(rng: random.Random, kind: str, depth: int) -> str:
     """Model text of the given kind, but for a slip now and then: a
-    subexpression of another kind, an unknown name, a case with no default
-    or a set literal."""
+    subexpression of another kind, an unknown name, a `!` before a bare
+    operand of any kind, a case with no default or a set literal."""
     slip = rng.random()
     if slip < 0.06:
         kind = rng.choice(sorted(_LEAVES))
     elif slip < 0.07:
         return "zq"
+    elif slip < 0.10:
+        return "!" + rng.choice(_LEAVES[rng.choice(sorted(_LEAVES))])
     pick = rng.random()
     if depth <= 0 or pick < 0.35:
         return rng.choice(_LEAVES[kind])
