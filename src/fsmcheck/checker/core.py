@@ -31,17 +31,29 @@ every successor, so a node of the search is (state id, latch values).
 The graph also keeps its breadth-first levels: level 0 is the initial
 states, and level d+1 the successors of level d's states whose step is not
 poisoned, deduplicated in first-encounter order, each with its first
-parent. A formula without latches is checked level by level, the level
-phase, for as long as one obligation covers all of level d. Then the
-per-entry search at depth d+1 steps level d in order, and a successor's
-result depends on its own atom bits alone, so a repeated visit repeats
-the first one's result. Hence the first bottom it meets is the first
-bottom state of level d+1, reached from its first parent; and if every
-state of level d+1 progresses to one obligation, its frontier at d+1 is
-level d+1 under that obligation, in level order. When the states of a
-level progress to different obligations, all to top, or the bound is
-reached, the level's undecided states are handed over as explicit entries
-in level order, and the per-entry search goes on from there.
+parent. A spec is checked level by level, the level phase, for as long as
+every node of level d holds one latch value and one obligation, whichever
+parent reaches it, and none is top. A node's latch values are a function
+of its parent's state and latch values, so if level d's states, all under
+one latch value, give one next value, every node of level d+1 carries it.
+The obligations may differ from state to state. Level d+1's states with
+atom bits b progress every obligation of level d that reaches one of them,
+and if that gives one result, it is the obligation of every node with bits
+b. The obligation most of level d's states hold is taken to reach every
+bits value, and the states holding another are stepped to find the bits
+values they reach; taking too much can only hand a level over early.
+
+Then the per-entry search at depth d+1 steps level d in order, all of
+whose states are entries, and a successor's result depends on its own
+atom bits alone, so a repeated visit repeats the first one's result.
+Hence its frontier at d+1 is level d+1, each state under the obligation
+its bits give, in level order, from its first parent; and the first
+bottom it meets is the first bottom state of level d+1, reached from its
+first parent. When level d's states give two latch values, or a bits value
+of level d+1 two results, level d is handed over; when a state of level
+d+1 is decided to top, or the bound is reached, level d+1 is. A level is
+handed over as its undecided states, explicit entries in level order with
+the level's latch values, and the per-entry search goes on from there.
 
 A model error is the graph's, shared by every spec of an instance: a path
 ends at a poisoned step whatever its obligation, so the search drops a
@@ -79,8 +91,10 @@ depth, and all others once per search node, as without a clock.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -301,9 +315,10 @@ def _nnf(f: F.Formula, neg: bool, ob: _Obligations, atom_ids: dict) -> int:
     raise TypeError(f"past operator reached the progression engine: {f!r}")
 
 
-def _compile_tuple(name: str, items: list[str]):
+@functools.lru_cache(maxsize=1024)
+def _compile_tuple(name: str, items: tuple[str, ...]):
     """A function of a state tuple s returning the tuple of items, each a
-    Python expression over s."""
+    Python expression over s; compiled once per source in a process."""
     if not items:
         return lambda s: ()
     src = f"def {name}(s):\n    return ({', '.join(items)},)\n"
@@ -490,7 +505,7 @@ def state_graph(ts: TransitionSystem) -> StateGraph:
 # --- the search ---------------------------------------------------------------
 
 
-def check_bounded(task: CheckTask) -> Verdict:
+def check_bounded(task: CheckTask, *, level_phase: bool = True) -> Verdict:
     """Counterexample-complete bounded search.
 
     If any initialized path of length <= bound_k has a Violated prefix
@@ -501,15 +516,18 @@ def check_bounded(task: CheckTask) -> Verdict:
     as in the oracle. Model errors are read from the graph's levels only.
 
     The search starts in the level phase at level 0. While the frontier is
-    all of level d under one obligation, the atoms of each of level d's
-    states are evaluated once, and the obligation is progressed once per
-    distinct atom-bit value. A bottom result returns the first-parent path
-    of the first such state in level order. One common non-top result moves
-    the phase on to level d+1. On mixed results, all top, at the bound, or
-    after level 0 for a formula with past-operator latches, whose nodes
-    carry latch values the levels do not, the level's undecided states
-    become explicit (node, obligation) entries, and the per-entry search
-    takes over from the next depth.
+    all of level d, each node under the level's latch values and one
+    obligation, the atoms of each of level d's states are evaluated once,
+    and each obligation is progressed once per distinct atom-bit value it
+    can reach. A bottom result returns the first-parent path of the first
+    such state in level order. The phase moves on to level d+1 while level
+    d's states give one next latch value and each bits value of level d+1
+    one result; otherwise level d is handed over, and on a top result or
+    at the bound level d+1 is. A level's undecided states become explicit
+    (node, obligation) entries, with the level's latch values, and the
+    per-entry search takes over from the next depth. With level_phase
+    False, level 0 is handed over at once: the per-entry search from the
+    initial states, which the phase is tested against.
 
     Both phases step a state at depth d through the graph, under depth d's
     signature. When an atom or a latch rule reads the depth clock, atoms
@@ -522,12 +540,12 @@ def check_bounded(task: CheckTask) -> Verdict:
     formula, ts = eliminate_past(F.map_atoms(task.formula, sliced.rewrite), sliced.system)
     latches = ts.variables[len(sliced.system.variables):]
     latch0 = tuple(v.init.value for v in latches)
-    latch_fn = _compile_tuple("_latches", [_emit(v.next) for v in latches])
+    latch_fn = _compile_tuple("_latches", tuple(_emit(v.next) for v in latches))
     atom_ids: dict[FExpr, int] = {}
     _collect_atoms(formula, atom_ids)
     ob = _Obligations(list(atom_ids))
     root = _nnf(formula, False, ob, atom_ids)
-    atom_fn = _compile_tuple("_atoms", [f"bool({_emit(a)})" for a in atom_ids])
+    atom_fn = _compile_tuple("_atoms", tuple(f"bool({_emit(a)})" for a in atom_ids))
     progress = ob.progress
     # at(depth): the states' values as the atoms and latches read them at
     # depth; unless they read the clock, the graph's own serve every depth
@@ -553,25 +571,57 @@ def check_bounded(task: CheckTask) -> Verdict:
     level = graph.level(0, budget)
     if level.poison is not None:
         return ModelError(0, unsliced(level.poison, True))
-    # the level phase: the frontier is all of level `leave` under `obligation`
-    obligation, leave = root, 0
-    while True:
-        now = at(leave)
-        level_bits = [atom_fn(now[sid] + latch0) for sid in level.ids]
-        results = dict.fromkeys(level_bits)  # distinct bits -> obligation
-        for bits in results:
-            res = results[bits] = progress(obligation, bits)
-            if res == BOT:
-                chain = graph.path(leave, level_bits.index(bits))
-                return Counterexample(project(chain), task.formula, leave)
-        decided = set(results.values())
-        if latches or len(decided) != 1 or TOP in decided or leave == task.bound_k:
+    # the level phase: the frontier is all of level `leave`; each of its
+    # nodes carries `latch`, and a state's obligation is `results[its bits]`
+    leave, latch = 0, latch0
+    now = at(0)
+    level_bits = [atom_fn(now[sid] + latch) for sid in level.ids]
+    results = {}
+    for bits in dict.fromkeys(level_bits):
+        res = results[bits] = progress(root, bits)
+        if res == BOT:
+            return Counterexample(project(graph.path(0, level_bits.index(bits))), task.formula, 0)
+    while level_phase and results and leave < task.bound_k and TOP not in results.values():
+        before = at(leave)
+        latches_next = {latch_fn(before[sid] + latch) for sid in level.ids} if latches else {latch}
+        if len(latches_next) != 1:
             break
-        (obligation,) = decided
-        leave += 1
-        level = graph.level(leave, budget)
-        if level is None:
+        (latch_next,) = latches_next
+        following = graph.level(leave + 1, budget)
+        if following is None:
             return Timeout(budget.elapsed())
+        now = at(leave + 1)
+        following_bits = [atom_fn(now[sid] + latch_next) for sid in following.ids]
+        # the obligation most states hold is taken to reach all of level
+        # leave + 1; the states holding another are stepped: bits -> the
+        # other obligations that reach a state with those bits
+        obligations = set(results.values())
+        common = next(iter(obligations))
+        others: dict[tuple, set] = {}
+        if len(obligations) > 1:
+            common = Counter(map(results.__getitem__, level_bits)).most_common(1)[0][0]
+            bits_at = dict(zip(following.ids, following_bits))
+            for sid, bits in zip(level.ids, level_bits):
+                held = results[bits]
+                if held == common:
+                    continue
+                out = graph.step(sid, leave)
+                if not isinstance(out, Poison):
+                    for nid in out:
+                        others.setdefault(bits_at[nid], set()).add(held)
+        following_results = {}
+        for bits in dict.fromkeys(following_bits):
+            res = following_results[bits] = progress(common, bits)
+            if any(progress(held, bits) != res for held in others.get(bits, ())):
+                break  # level `leave` is handed over
+            if res == BOT:
+                chain = graph.path(leave + 1, following_bits.index(bits))
+                return Counterexample(project(chain), task.formula, leave + 1)
+        else:  # each bits value has one result: move on to level leave + 1
+            leave, latch, level = leave + 1, latch_next, following
+            level_bits, results = following_bits, following_results
+            continue
+        break
     # a node is (state id, latch values); entries are (node, obligation,
     # parent), keyed by (node, obligation). A parent is the entry the node
     # was reached from; for an entry the level phase hands over it is the
@@ -581,7 +631,7 @@ def check_bounded(task: CheckTask) -> Verdict:
     for i, sid in enumerate(level.ids):
         res = results[level_bits[i]]
         if res != TOP:
-            node = (sid, latch0)
+            node = (sid, latch)
             frontier[(node, res)] = (node, res, level.parents[i] if leave else None)
 
     for depth in range(leave + 1, task.bound_k + 1):

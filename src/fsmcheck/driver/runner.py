@@ -21,14 +21,12 @@ traces, one directory per combination.
 from __future__ import annotations
 
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import TYPE_CHECKING, Optional, TextIO
 
 from ..checker import (
     CheckTask, Counterexample, ModelError, NoCounterexampleWithinBound,
@@ -39,6 +37,9 @@ from ..semantics import TransitionSystem, trace_to_text
 from .inject import check_injection, instance_system, spec_formulas
 from .plan import BatchPlan, PlannedTask
 from .specs import SpecCatalog
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 VERDICTS = ("PASS", "VIOLATED", "INCONCLUSIVE", "TIMEOUT", "ERROR")
 _SEVERITY = {v: i for i, v in enumerate(("PASS", "INCONCLUSIVE", "VIOLATED", "TIMEOUT", "ERROR"))}
@@ -196,6 +197,9 @@ def run_batch(
             _init_worker(template)
             results = (check_unit(*unit) for unit in units)
         else:
+            # imported here: the process pool pulls in multiprocessing, which
+            # a one-worker batch does not use
+            from concurrent.futures import ProcessPoolExecutor
             pools = [stack.enter_context(ProcessPoolExecutor(
                 max_workers=1, initializer=_init_worker, initargs=(template,)))
                 for _ in range(workers)]

@@ -21,10 +21,17 @@ successors, is_successor, initial_states, satisfies_init and simulate. The
 oracle (checker.brute) and replay (checker.replay) step through these, so
 they share no stepping code with the kernel. Successors are enumerated
 lexicographically over the ordered variables, choices in listed order.
+
+A step of the tree walker (`_step`) memoizes each variable's candidates on
+the system (`TransitionSystem._steps`), keyed by the values of the
+variables its next rule reads, so the replays of one instance's traces
+evaluate each rule once per distinct input. Only candidates inside the
+domain are memoized: a poisoned step raises at every call.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from typing import Callable, Iterator, Optional
 
@@ -309,8 +316,30 @@ def initial_states(ts: TransitionSystem,
 
 
 def _step(ts: TransitionSystem, values: tuple) -> list[tuple[Value, ...]]:
-    """Each variable's next-value candidates on values."""
-    return [_candidates(v, v.next, values) for v in ts.variables]
+    """Each variable's next-value candidates on values, memoized on ts per
+    variable and the values its next rule reads; a poisoned candidate
+    raises and is not memoized, so it raises again at every call."""
+    memo = ts._steps
+    if memo is None:
+        memo = ts._steps = [(_reader(v.next), {}) for v in ts.variables]
+    out = []
+    for v, (read, seen) in zip(ts.variables, memo):
+        key = read(values)
+        cands = seen.get(key)
+        if cands is None:
+            cands = seen[key] = _candidates(v, v.next, values)
+        out.append(cands)
+    return out
+
+
+def _reader(rule: Optional[FExpr]) -> Callable[[tuple], object]:
+    """A function of a state's values giving the values rule reads."""
+    refs: set[int] = set()
+    if rule is not None:
+        collect_refs(rule, refs)
+    if not refs:
+        return lambda values: ()
+    return operator.itemgetter(*sorted(refs))
 
 
 def successors(ts: TransitionSystem, s: State) -> Iterator[State]:

@@ -254,10 +254,12 @@ class VarDef:
 
 
 class TransitionSystem:
-    """Immutable after construction, apart from two lazy caches: the enum
-    symbols (`_symbols`), made at first use, and the checker's state graph
+    """Immutable after construction, apart from three lazy caches: the enum
+    symbols (`_symbols`), made at first use; the checker's state graph
     (`_graph`, see checker.core), which grows as checks of the system
-    explore it. Neither changes what the system means.
+    explore it; and the tree walker's memo of next-rule candidates
+    (`_steps`, see semantics.exec), which grows as steps are taken. None
+    of them changes what the system means.
 
     `defines` maps each qualified DEFINE name to its flat expression.
     `define_types` holds each one's type as the binding walk of
@@ -281,6 +283,7 @@ class TransitionSystem:
         if len(self.index) != len(variables):
             raise ValueError("duplicate qualified variable name")
         self._graph = None  # explored lazily, by the checks of this system
+        self._steps: Optional[list] = None  # filled lazily, by tree-walking steps
         self._symbols: Optional[frozenset[str]] = None
 
     def var(self, name: str) -> VarDef:

@@ -247,48 +247,59 @@ def test_dependency_graph():
 
 
 def _per_entry_check(task):
-    """check_bounded with the level phase off: one latch that no atom reads
-    makes the search leave the phase at level 0 and run its per-entry loop
-    from the initial states, as it does for a formula with past operators.
-    Model errors still come from the graph's levels, as with the phase on."""
-    def with_idle_latch(f, ts):
-        f, ts = eliminate_past(f, ts)
-        idle = VarDef("idle latch", BoolDomain(), init=Const(False), next=Const(False))
-        return f, TransitionSystem(ts.variables + (idle,), defines=ts.defines,
-                                   source_name=ts.source_name)
-
-    with patch("fsmcheck.checker.core.eliminate_past", with_idle_latch):
-        return check_bounded(task)
+    """check_bounded with the level phase off: the search hands level 0
+    over and runs its per-entry loop from the initial states. Model errors
+    still come from the graph's levels, as with the phase on."""
+    return check_bounded(task, level_phase=False)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(st.integers(min_value=0, max_value=2**32))
 def test_level_phase_matches_per_entry_search(seed):
     """The level phase gives the per-entry search's verdict, field by field,
     and its counterexample's trace text, whether the phase lasts to the
-    bound or leaves it on a split obligation. Both sides read a model error
-    from the same levels; the oracle suites check it."""
+    bound or hands a level over: on latches that differ across a level, on
+    a split obligation, or on a bits value that two residuals progress
+    apart. Both sides read a model error from the same levels; the oracle
+    suites check it."""
     rng = random.Random(seed)
     pick = rng.randrange(4)
     if pick < 2:
-        src = random_int_model(rng)
+        src = random_int_model(rng, counter=pick == 1)
     elif pick == 2:
         src = random_bool_model(rng, rng.randrange(2, 5), rng.randrange(1, 3))
     else:
         src = random_constant_model(rng)[0]
     ts = build(src)
     atoms = int_model_atoms(ts)
-    shape = rng.randrange(3)
+    shape = rng.randrange(6)
     lo = rng.randrange(0, 4)
-    window = rng.choice(["G", "F", f"G[{lo},{lo + rng.randrange(0, 6)}]",
-                         f"F[{lo},{lo + rng.randrange(0, 6)}]"])
+    hi = lo + rng.randrange(0, 6)
+    window = rng.choice(["G", "F", f"G[{lo},{hi}]", f"F[{lo},{hi}]"])
     if shape == 0:
         text = f"{window} ({random_bool_expr(rng, atoms, 2)})"
     elif shape == 1:
         # the states where the trigger holds take on a response, the others
-        # do not: the phase is left once the trigger holds in part of a level
+        # do not: the residuals of a level differ from state to state
         trigger, response = (random_bool_expr(rng, atoms, 1) for _ in range(2))
         text = f"G ({trigger} -> X {window} ({response}))"
+    elif shape == 2:
+        # a state's residual depends on its parent's bits, so a state reached
+        # from parents with two residuals can take two results
+        p, q = (random_bool_expr(rng, atoms, 1) for _ in range(2))
+        text = f"G[{lo},{hi}] (({p} & X {p}) -> X {q})"
+    elif shape == 3:
+        text = random_past_formula(rng, atoms, rng.randrange(1, 4))
+    elif shape == 4:
+        # a latch that takes two values across a level hands it over
+        past = random_bool_expr(rng, atoms, 1)
+        for _ in range(rng.randrange(1, 3)):
+            past = f"{rng.choice('OYH')} ({past})"
+        text = f"{window} (({past}) -> ({random_bool_expr(rng, atoms, 1)}))"
+        if rng.random() < 0.5:
+            # a disjunct decided on part of a level hands the others over
+            # with the latch values the phase carried to them
+            text = f"F[{lo},{hi}] ({random_bool_expr(rng, atoms, 1)}) | ({text})"
     else:
         text = random_future_formula(rng, atoms, rng.randrange(1, 4))
     bound = rng.randrange(0, 13)
@@ -351,6 +362,19 @@ def test_trace_crosses_from_the_per_entry_search_into_the_levels():
         "step 3\nb = FALSE\nx = 3\n"
     )
     assert replay_counterexample(ts, verdict.trace, f) is PrefixVerdict.VIOLATED
+
+
+def test_a_handed_over_level_keeps_its_latch():
+    # O (x = 1) is latched at step 1 on every path; at level 2 the states
+    # with b decide `X X b` to top, so the others are handed over, and only
+    # the latch they carry makes x = 3 violate at step 3
+    ts = build(SPLITTING)
+    f = parse_ltl("X X b | G (x < 3 | !(O x = 1))", ts)
+    task = CheckTask(ts, f, bound_k=6)
+    verdict = check_bounded(task)
+    assert isinstance(verdict, Counterexample) and verdict.violation_step == 3
+    assert verdict == _per_entry_check(task)
+    _assert_agrees_with_oracle(task, verdict, "handed-over latch")
 
 
 def test_oracle_equivalence_quick():

@@ -10,13 +10,13 @@ from fsmcheck.lang import parse_model, validate_model
 from fsmcheck.ltl import parse_ltl
 from fsmcheck.semantics import (
     ElaborationError, IntDomain, ModelStepError, State, elaborate,
-    first_choice, initial_states,
+    first_choice, initial_states, is_successor,
     scripted_chooser, seeded_random_chooser, simulate, successors, trace_from_text,
     trace_to_text,
 )
 
 from fsmcheck.checker.deps import depth_clock
-from fsmcheck.semantics.exec import eval_fexpr, step_kernel
+from fsmcheck.semantics.exec import _candidates, eval_fexpr, step_kernel
 
 from helpers import as_dict, eval_expr, fixture_text, random_int_model
 
@@ -401,6 +401,38 @@ def test_kernel_matches_tree_walker(seed):
     clock = depth_clock(ts)
     assert clock is not None
     _assert_kernel_matches_tree_walker(ts, clock)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_memoized_steps_match_an_uncached_walk(seed):
+    """successors and is_successor, which memoize each next rule's
+    candidates on the system, step every state of the domains as an uncached
+    walk does, twice over, and a poisoned step raises at every call."""
+    rng = random.Random(seed)
+    ts = build(random_int_model(rng, counter=rng.random() < 0.5))
+    everything = list(itertools.product(*(v.domain.values() for v in ts.variables)))
+    for _ in range(2):
+        rng.shuffle(everything)
+        for values in everything:
+            s = State(values, ts)
+            walked = _outcome(lambda: (t.values for t in successors(ts, s)))
+            fresh = _outcome(lambda: itertools.product(
+                *[_candidates(v, v.next, values) for v in ts.variables]))
+            assert walked == fresh, values
+            stepped = isinstance(fresh, list)
+            for t in rng.sample(everything, min(8, len(everything))) + (fresh[:2] if stepped else []):
+                assert is_successor(ts, s, State(t, ts)) == (stepped and t in fresh), (values, t)
+
+
+def test_a_poisoned_step_raises_at_every_call():
+    ts = build("MODULE main\nVAR t : 0..2;\nASSIGN\n  init(t) := 2;\n  next(t) := t + 1;\n")
+    (s,) = initial_states(ts)
+    for _ in range(3):
+        with pytest.raises(ModelStepError):
+            successors(ts, s)
+        assert not is_successor(ts, s, s)
+    assert ts._steps == [(ts._steps[0][0], {})]
 
 
 def test_symbol_universe_is_computed_once_and_frozen():
