@@ -6,16 +6,20 @@ the formula rewritten by progression through the states consumed so far
 identical residuals merge. An obligation collapsing to bottom is exactly a
 Violated prefix verdict, and collapsing to top a Holds verdict, so the
 result contract matches direct three-valued evaluation while exploring
-deduplicated states instead of paths.
+deduplicated states instead of paths. A past operator is a one-bit monitor
+of the step before (Havelund & Rosu, TACAS 2002), and its bit is kept in
+the obligation beside the future residual (see `_Obligations`), so a
+pair's future depends on its state and its obligation alone.
 
 Per-depth deduplication is sound for counterexample-completeness: a pair
 reached earlier has at least as much remaining bound as a later repeat.
 The per-entry search keeps each depth's pairs as entries, each with the
-entry it was first reached from. It is breadth first, so the verdict and
-the counterexample it returns are fixed by the order it meets pairs in:
-depth by depth, the frontier in insertion order, each state's successors
-in the kernel's order. Any walk of a depth that meets its pairs in that
-order, from the same parents, returns the same verdict and trace.
+entry it was first reached from, and walks breadth first: depth by depth,
+the frontier in insertion order, each state's successors in the kernel's
+order. So each pair is first reached along its least path, as a sequence
+of init and successor positions, and the counterexample is canonical: the
+lexicographically least of the shortest violating paths, in successor
+order, which is the path the oracle `brute_force_check` returns.
 
 The states come from a `StateGraph` of the system sliced by
 `deps.slice_constants`: its sequential constants are left out, the other
@@ -23,47 +27,38 @@ variables re-indexed, and the formula's atoms rewritten through the same
 substitution. The graph interns each sliced state as an int and memoizes
 its successors; it is built at the first check of a system and cached on
 it, so every spec checked on one instance shares one exploration, as in
-multi-property checking (Cabodi & Nocco, DATE 2011). The latches that
-past-operator elimination adds stay out of the graph: their next rules are
-one compiled function of the current state, whose value is appended to
-every successor, so a node of the search is (state id, latch values).
+multi-property checking (Cabodi & Nocco, DATE 2011).
 
 The graph also keeps its breadth-first levels: level 0 is the initial
 states, and level d+1 the successors of level d's states whose step is not
 poisoned, deduplicated in first-encounter order, each with its first
 parent. A spec is checked level by level, the level phase, for as long as
-every node of level d holds one latch value and one obligation, whichever
-parent reaches it, and none is top. A node's latch values are a function
-of its parent's state and latch values, so if level d's states, all under
-one latch value, give one next value, every node of level d+1 carries it.
-The obligations may differ from state to state. Level d+1's states with
-atom bits b progress every obligation of level d that reaches one of them,
-and if that gives one result, it is the obligation of every node with bits
-b. The obligation most of level d's states hold is taken to reach every
-bits value, and the states holding another are stepped to find the bits
-values they reach; taking too much can only hand a level over early.
+every state of level d holds one obligation, whichever parent reaches it,
+and none is top. The obligations may differ from state to state. Level
+d+1's states with atom bits b progress every obligation of level d that
+reaches one of them, and if that gives one result, it is the obligation of
+every state with bits b. The obligation most of level d's states hold is
+taken to reach every bits value, and the states holding another are
+stepped to find the bits values they reach; taking too much can only hand
+a level over early.
 
-Then the per-entry search at depth d+1 steps level d in order, all of
-whose states are entries, and a successor's result depends on its own
-atom bits alone, so a repeated visit repeats the first one's result.
-Hence its frontier at d+1 is level d+1, each state under the obligation
-its bits give, in level order, from its first parent; and the first
-bottom it meets is the first bottom state of level d+1, reached from its
-first parent. When level d's states give two latch values, or a bits value
-of level d+1 two results, level d is handed over; when a state of level
-d+1 is decided to top, or the bound is reached, level d+1 is. A level is
-handed over as its undecided states, explicit entries in level order with
-the level's latch values, and the per-entry search goes on from there.
+A level is in the order of its states' least paths, since a state is first
+reached from its first parent, so the first bottom state of level d+1,
+with its first-parent path, is the canonical counterexample, and the
+undecided states of level d+1, in level order, are the per-entry search's
+frontier at d+1. When a bits value of level d+1 gives two results, level
+d is handed over; when a state of level d+1 is decided to top, or the
+bound is reached, level d+1 is. A level is handed over as its undecided
+states, explicit entries in level order, and the per-entry search goes on
+from there.
 
 A model error is the graph's, shared by every spec of an instance: a path
 ends at a poisoned step whatever its obligation, so the search drops a
 poisoned entry, and the levels record the poison. Level 0 holds the init
 rule's, reported before anything else; level d+1 that of level d's first
 poisoned state. With no counterexample, the first poisoned level d >= 1
-within the bound gives ModelError(d). A level is in the order of its
-states' least paths, as sequences of init and successor positions, since
-a state is first reached from its first parent; the oracle's depth-first
-walk meets paths in that order, so both quote the same step of one state.
+within the bound gives ModelError(d). The oracle's depth-first walk meets
+paths in least-path order too, so both quote the same step of one state.
 
 The constants hold in every reachable state, so the sliced search visits
 the projections of the unsliced search's states in the same order: initial
@@ -85,9 +80,9 @@ never leaves its domain. Two depths with one signature therefore step a
 state to the same successors, or the same Poison, and the graph memoizes
 a step per (state id, signature). So the frontiers, verdicts, violation
 steps, model errors and traces are those of the search over the full
-states; a trace puts back each depth's clock value. The atoms and latch
-rules of a formula that read the clock are evaluated on the state at its
-depth, and all others once per search node, as without a clock.
+states; a trace puts back each depth's clock value. The atoms of a
+formula that read the clock are evaluated on the state at its depth, and
+all others once per state, as without a clock.
 """
 from __future__ import annotations
 
@@ -99,7 +94,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 from ..ltl import formula as F
-from ..ltl.past import eliminate_past
 from ..semantics.exec import ModelStepError, _emit, eval_fexpr, initial_states, step_kernel
 from ..semantics.system import FExpr, State, Trace, TransitionSystem, Value, collect_refs
 from .deps import Clock, ConstantSlice, depth_clock, sequential_constants, slice_constants
@@ -163,14 +157,42 @@ BOT = 1
 
 
 class _Obligations:
-    """Hash-consed NNF obligation store with progression."""
+    """Hash-consed NNF obligation store with progression.
 
-    def __init__(self, atoms: list[FExpr]):
-        self.atoms = atoms
+    Each distinct O, Y or H subformula is registered once as a monitor
+    (op, body node), the body a state formula over the atoms and the inner
+    monitors' values, and it reads as a pseudo-atom. A formula with
+    monitors has a `past` root, which holds the monitors' bits of the step
+    before (for Y its body's value, for O and H its own) and the future
+    residual. Progressing it through a state's atom bits computes the
+    monitors' values there, memoized per monitor bits and atom bits, and
+    then progresses the residual over the outer atoms, those read outside
+    any past body and numbered first, followed by the values of the
+    monitors read there; so the residual's memo keys hold no bit that only
+    a past body reads.
+    """
+
+    def __init__(self, formula: F.Formula):
+        atom_ids: dict[FExpr, int] = {}
+        bodies: list[F.Formula] = []
+        _collect_atoms(formula, atom_ids, bodies)
+        self.outer = len(atom_ids)
+        while bodies:
+            _collect_atoms(bodies.pop(), atom_ids, bodies)
+        self.atom_ids = atom_ids
         self.kind = ["top", "bot"]
         self.payload: list = [None, None]
         self.table: dict = {("top", None): TOP, ("bot", None): BOT}
         self.prog_memo: dict = {}
+        self.monitors: dict[tuple[str, int], int] = {}  # (op, body) -> its index
+        self.exports: dict[int, int] = {}  # a monitor read outside past bodies -> its place
+        self.past_memo: dict = {}
+        root = self._nnf(formula, False, False)
+        # monitor -> the monitors its body reads, each registered before it
+        self.reads = [self._pseudo_atoms(body) for _, body in self.monitors]
+        if self.monitors:
+            root = self._mk("past", (tuple(op == "H" for op, _ in self.monitors), root))
+        self.root = root
 
     def _mk(self, kind: str, payload) -> int:
         key = (kind, payload)
@@ -263,56 +285,112 @@ class _Obligations:
                 out = self.progress(sub, bits)
             else:
                 out = self.conj((self.progress(sub, bits), self._mk("gw", (0, hi - 1, sub))))
+        elif kind == "past":
+            was, residual = p
+            step = self.past_memo.get((was, bits))
+            if step is None:
+                step = self.past_memo[(was, bits)] = self._past_step(was, bits)
+            now, values = step
+            out = self.progress(residual, values)
+            if out != TOP and out != BOT:
+                out = self._mk("past", (now, out))
         else:
             raise ValueError(f"cannot progress node kind {kind}")
         self.prog_memo[key] = out
         return out
 
+    def _past_step(self, was: tuple, bits: tuple) -> tuple[tuple, tuple]:
+        """The monitors' bits after a state with atom bits `bits`, given
+        their bits `was` before it, and the bits the residual reads there."""
+        values: list[bool] = []
+        now = []
+        for (op, body), before in zip(self.monitors, was):
+            held = self.progress(body, bits + tuple(values)) == TOP
+            if op == "O":
+                held = before or held
+            elif op == "H":
+                held = before and held
+            values.append(before if op == "Y" else held)
+            now.append(held)
+        # a monitor that neither the residual nor a live monitor reads is
+        # reset, so obligations that differ only in its bit merge: an O
+        # once true, or an H once false, never reads its body again
+        live = set(self.exports)
+        for j, (op, _) in reversed(list(enumerate(self.monitors))):
+            if j in live and (op == "Y" or now[j] != (op == "O")):
+                live |= self.reads[j]
+        now = [held and j in live for j, held in enumerate(now)]
+        return tuple(now), bits[:self.outer] + tuple(values[j] for j in self.exports)
 
-def _collect_atoms(f: F.Formula, out: dict[FExpr, int]) -> None:
+    def _pseudo_atoms(self, nid: int) -> set[int]:
+        """The monitors a state formula node of a past body reads."""
+        if self.kind[nid] == "lit":
+            atom = self.payload[nid][0] - len(self.atom_ids)
+            return {atom} if atom >= 0 else set()
+        if self.kind[nid] in ("and", "or"):
+            return set().union(*map(self._pseudo_atoms, self.payload[nid]))
+        return set()
+
+    def _nnf(self, f: F.Formula, neg: bool, body: bool) -> int:
+        """f, negated if neg, as a node. In a past body, a monitor's
+        pseudo-atom follows all atoms; outside, it follows the outer atoms,
+        in the order the monitors read there are first met."""
+        # a constant atom is a literal too: it is decided by the state that
+        # reads it, so X FALSE is violated at step 1, not at step 0
+        if isinstance(f, F.Atom):
+            return self.lit(self.atom_ids[f.expr], neg)
+        if isinstance(f, F.Not):
+            return self._nnf(f.sub, not neg, body)
+        if isinstance(f, F.PAST_OPS):
+            key = (type(f).__name__[0], self._nnf(f.sub, False, True))  # O, Y or H
+            j = self.monitors.setdefault(key, len(self.monitors))
+            if body:
+                return self.lit(len(self.atom_ids) + j, neg)
+            return self.lit(self.outer + self.exports.setdefault(j, len(self.exports)), neg)
+        if isinstance(f, F.Implies):
+            return self._nnf(F.Or(F.Not(f.left), f.right), neg, body)
+        if isinstance(f, F.And):
+            mk = self.disj if neg else self.conj
+            return mk((self._nnf(f.left, neg, body), self._nnf(f.right, neg, body)))
+        if isinstance(f, F.Or):
+            mk = self.conj if neg else self.disj
+            return mk((self._nnf(f.left, neg, body), self._nnf(f.right, neg, body)))
+        if body:
+            raise F.PastEliminationError(
+                f"past operator over a future subformula: {F.format_formula(f)}")
+        if isinstance(f, F.Next):
+            return self._mk("x", self._nnf(f.sub, neg, body))
+        if isinstance(f, F.Finally_):
+            return self._mk("g" if neg else "f", self._nnf(f.sub, neg, body))
+        if isinstance(f, F.Globally):
+            return self._mk("f" if neg else "g", self._nnf(f.sub, neg, body))
+        if isinstance(f, F.Until):
+            l = self._nnf(f.left, neg, body)
+            r = self._nnf(f.right, neg, body)
+            return self._mk("r" if neg else "u", (l, r))
+        if isinstance(f, F.Release):
+            l = self._nnf(f.left, neg, body)
+            r = self._nnf(f.right, neg, body)
+            return self._mk("u" if neg else "r", (l, r))
+        if isinstance(f, F.FinallyWithin):
+            sub = self._nnf(f.sub, neg, body)
+            return self._mk("gw" if neg else "fw", (f.lo, f.hi, sub))
+        if isinstance(f, F.GloballyWithin):
+            sub = self._nnf(f.sub, neg, body)
+            return self._mk("fw" if neg else "gw", (f.lo, f.hi, sub))
+        raise TypeError(f"unknown formula node {f!r}")
+
+
+def _collect_atoms(f: F.Formula, out: dict[FExpr, int], bodies: list[F.Formula]) -> None:
+    """Number f's atoms read outside any past body; list the outermost
+    past bodies."""
     if isinstance(f, F.Atom):
         out.setdefault(f.expr, len(out))
-        return
-    for c in F.children(f):
-        _collect_atoms(c, out)
-
-
-def _nnf(f: F.Formula, neg: bool, ob: _Obligations, atom_ids: dict) -> int:
-    # a constant atom is a literal too: it is decided by the state that
-    # reads it, so X FALSE is violated at step 1, not at step 0
-    if isinstance(f, F.Atom):
-        return ob.lit(atom_ids[f.expr], neg)
-    if isinstance(f, F.Not):
-        return _nnf(f.sub, not neg, ob, atom_ids)
-    if isinstance(f, F.And):
-        mk = ob.disj if neg else ob.conj
-        return mk((_nnf(f.left, neg, ob, atom_ids), _nnf(f.right, neg, ob, atom_ids)))
-    if isinstance(f, F.Or):
-        mk = ob.conj if neg else ob.disj
-        return mk((_nnf(f.left, neg, ob, atom_ids), _nnf(f.right, neg, ob, atom_ids)))
-    if isinstance(f, F.Implies):
-        return _nnf(F.Or(F.Not(f.left), f.right), neg, ob, atom_ids)
-    if isinstance(f, F.Next):
-        return ob._mk("x", _nnf(f.sub, neg, ob, atom_ids))
-    if isinstance(f, F.Finally_):
-        return ob._mk("g" if neg else "f", _nnf(f.sub, neg, ob, atom_ids))
-    if isinstance(f, F.Globally):
-        return ob._mk("f" if neg else "g", _nnf(f.sub, neg, ob, atom_ids))
-    if isinstance(f, F.Until):
-        l = _nnf(f.left, neg, ob, atom_ids)
-        r = _nnf(f.right, neg, ob, atom_ids)
-        return ob._mk("r" if neg else "u", (l, r))
-    if isinstance(f, F.Release):
-        l = _nnf(f.left, neg, ob, atom_ids)
-        r = _nnf(f.right, neg, ob, atom_ids)
-        return ob._mk("u" if neg else "r", (l, r))
-    if isinstance(f, F.FinallyWithin):
-        sub = _nnf(f.sub, neg, ob, atom_ids)
-        return ob._mk("gw" if neg else "fw", (f.lo, f.hi, sub))
-    if isinstance(f, F.GloballyWithin):
-        sub = _nnf(f.sub, neg, ob, atom_ids)
-        return ob._mk("fw" if neg else "gw", (f.lo, f.hi, sub))
-    raise TypeError(f"past operator reached the progression engine: {f!r}")
+    elif isinstance(f, F.PAST_OPS):
+        bodies.append(f.sub)
+    else:
+        for c in F.children(f):
+            _collect_atoms(c, out, bodies)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -510,51 +588,44 @@ def check_bounded(task: CheckTask, *, level_phase: bool = True) -> Verdict:
 
     If any initialized path of length <= bound_k has a Violated prefix
     verdict, a Counterexample with the earliest possible violation step is
-    returned; a counterexample takes precedence over a runtime model error,
-    which takes precedence over the bound-limited no-counterexample result.
-    An init rule that leaves its domain is ModelError(0) before all that,
-    as in the oracle. Model errors are read from the graph's levels only.
+    returned, along the canonical path (see the module docstring); a
+    counterexample takes precedence over a runtime model error, which takes
+    precedence over the bound-limited no-counterexample result. An init
+    rule that leaves its domain is ModelError(0) before all that, as in
+    the oracle. Model errors are read from the graph's levels only.
 
     The search starts in the level phase at level 0. While the frontier is
-    all of level d, each node under the level's latch values and one
-    obligation, the atoms of each of level d's states are evaluated once,
-    and each obligation is progressed once per distinct atom-bit value it
-    can reach. A bottom result returns the first-parent path of the first
-    such state in level order. The phase moves on to level d+1 while level
-    d's states give one next latch value and each bits value of level d+1
-    one result; otherwise level d is handed over, and on a top result or
-    at the bound level d+1 is. A level's undecided states become explicit
-    (node, obligation) entries, with the level's latch values, and the
+    all of level d, each state under the obligation its atom bits give,
+    the atoms of each of level d's states are evaluated once, and each
+    obligation is progressed once per distinct atom-bit value it can
+    reach. A bottom result returns the first-parent path of the first such
+    state in level order. The phase moves on to level d+1 while each bits
+    value of level d+1 gives one result; otherwise level d is handed over,
+    and on a top result or at the bound level d+1 is. A level's undecided
+    states become explicit (state id, obligation) entries, and the
     per-entry search takes over from the next depth. With level_phase
     False, level 0 is handed over at once: the per-entry search from the
     initial states, which the phase is tested against.
 
     Both phases step a state at depth d through the graph, under depth d's
-    signature. When an atom or a latch rule reads the depth clock, atoms
-    and latches are evaluated on the states at their depth, and the
-    per-node memo of atom bits lasts one depth.
+    signature. When an atom reads the depth clock, the atoms are evaluated
+    on the states at their depth, and the per-state memo of atom bits
+    lasts one depth.
     """
     budget = TimeoutBudget(task.timeout)
     graph = state_graph(task.ts)
     sliced = graph.sliced
-    formula, ts = eliminate_past(F.map_atoms(task.formula, sliced.rewrite), sliced.system)
-    latches = ts.variables[len(sliced.system.variables):]
-    latch0 = tuple(v.init.value for v in latches)
-    latch_fn = _compile_tuple("_latches", tuple(_emit(v.next) for v in latches))
-    atom_ids: dict[FExpr, int] = {}
-    _collect_atoms(formula, atom_ids)
-    ob = _Obligations(list(atom_ids))
-    root = _nnf(formula, False, ob, atom_ids)
-    atom_fn = _compile_tuple("_atoms", tuple(f"bool({_emit(a)})" for a in atom_ids))
+    ob = _Obligations(F.map_atoms(task.formula, sliced.rewrite))
+    atom_fn = _compile_tuple("_atoms", tuple(f"bool({_emit(a)})" for a in ob.atom_ids))
     progress = ob.progress
-    # at(depth): the states' values as the atoms and latches read them at
-    # depth; unless they read the clock, the graph's own serve every depth
+    # at(depth): the states' values as the atoms read them at depth; unless
+    # they read the clock, the graph's own serve every depth
     reads: set[int] = set()
-    for e in [*atom_ids, *(v.next for v in latches)]:
+    for e in ob.atom_ids:
         collect_refs(e, reads)
     timed = graph.clock is not None and graph.clock.index in reads
     at = graph.at if timed else lambda depth: graph.values
-    bits_of: dict[tuple, tuple] = {}  # node -> its atom bits, at one depth if timed
+    bits_of: dict[int, tuple] = {}  # state id -> its atom bits, at one depth if timed
 
     def project(sids: list[int]) -> Trace:
         """The states of a path from depth 0, at full width."""
@@ -571,27 +642,22 @@ def check_bounded(task: CheckTask, *, level_phase: bool = True) -> Verdict:
     level = graph.level(0, budget)
     if level.poison is not None:
         return ModelError(0, unsliced(level.poison, True))
-    # the level phase: the frontier is all of level `leave`; each of its
-    # nodes carries `latch`, and a state's obligation is `results[its bits]`
-    leave, latch = 0, latch0
+    # the level phase: the frontier is all of level `leave`, and a state's
+    # obligation is `results[its bits]`
+    leave = 0
     now = at(0)
-    level_bits = [atom_fn(now[sid] + latch) for sid in level.ids]
+    level_bits = [atom_fn(now[sid]) for sid in level.ids]
     results = {}
     for bits in dict.fromkeys(level_bits):
-        res = results[bits] = progress(root, bits)
+        res = results[bits] = progress(ob.root, bits)
         if res == BOT:
             return Counterexample(project(graph.path(0, level_bits.index(bits))), task.formula, 0)
     while level_phase and results and leave < task.bound_k and TOP not in results.values():
-        before = at(leave)
-        latches_next = {latch_fn(before[sid] + latch) for sid in level.ids} if latches else {latch}
-        if len(latches_next) != 1:
-            break
-        (latch_next,) = latches_next
         following = graph.level(leave + 1, budget)
         if following is None:
             return Timeout(budget.elapsed())
         now = at(leave + 1)
-        following_bits = [atom_fn(now[sid] + latch_next) for sid in following.ids]
+        following_bits = [atom_fn(now[sid]) for sid in following.ids]
         # the obligation most states hold is taken to reach all of level
         # leave + 1; the states holding another are stepped: bits -> the
         # other obligations that reach a state with those bits
@@ -618,54 +684,51 @@ def check_bounded(task: CheckTask, *, level_phase: bool = True) -> Verdict:
                 chain = graph.path(leave + 1, following_bits.index(bits))
                 return Counterexample(project(chain), task.formula, leave + 1)
         else:  # each bits value has one result: move on to level leave + 1
-            leave, latch, level = leave + 1, latch_next, following
+            leave, level = leave + 1, following
             level_bits, results = following_bits, following_results
             continue
         break
-    # a node is (state id, latch values); entries are (node, obligation,
-    # parent), keyed by (node, obligation). A parent is the entry the node
-    # was reached from; for an entry the level phase hands over it is the
-    # position of the node's first parent in level `leave - 1`, and at
-    # depth 0 it is None. Only undecided pairs are entries.
+    # entries are (state id, obligation, parent), keyed by (state id,
+    # obligation). A parent is the entry the state was reached from; for an
+    # entry the level phase hands over it is the position of the state's
+    # first parent in level `leave - 1`, and at depth 0 it is None. Only
+    # undecided pairs are entries.
     frontier: dict[tuple, tuple] = {}
     for i, sid in enumerate(level.ids):
         res = results[level_bits[i]]
         if res != TOP:
-            node = (sid, latch)
-            frontier[(node, res)] = (node, res, level.parents[i] if leave else None)
+            frontier[(sid, res)] = (sid, res, level.parents[i] if leave else None)
 
     for depth in range(leave + 1, task.bound_k + 1):
         if not frontier:
             break
         new_frontier: dict[tuple, tuple] = {}
-        before, now = at(depth - 1), at(depth)
+        now = at(depth)
         if timed:
             bits_of.clear()
         for entry in frontier.values():
             if budget.exceeded():
                 return Timeout(budget.elapsed())
-            (sid, latch), obligation, _parent = entry
+            sid, obligation, _parent = entry
             out = graph.step(sid, depth - 1)
             if isinstance(out, Poison):
                 continue
-            latch = latch_fn(before[sid] + latch)
             for nid in out:
-                node = (nid, latch)
-                bits = bits_of.get(node)
+                bits = bits_of.get(nid)
                 if bits is None:
-                    bits = bits_of[node] = atom_fn(now[nid] + latch)
+                    bits = bits_of[nid] = atom_fn(now[nid])
                 res = progress(obligation, bits)
                 if res == BOT:
                     chain = [nid]
                     while isinstance(entry, tuple):
-                        chain.append(entry[0][0])
+                        chain.append(entry[0])
                         entry = entry[2]
                     chain.reverse()
                     if entry is not None:
                         chain[:0] = graph.path(leave - 1, entry)
                     return Counterexample(project(chain), task.formula, depth)
-                if res != TOP and (node, res) not in new_frontier:
-                    new_frontier[(node, res)] = (node, res, entry)
+                if res != TOP and (nid, res) not in new_frontier:
+                    new_frontier[(nid, res)] = (nid, res, entry)
         frontier = new_frontier
 
     for depth in range(1, task.bound_k + 1):

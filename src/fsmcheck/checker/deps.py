@@ -91,7 +91,7 @@ class ConstantSlice:
         return fold(e, self.env) if self.env else e
 
     def expand(self, values: tuple) -> tuple:
-        """A sliced state (latches after it are ignored) at full width."""
+        """A sliced state at full width."""
         out = list(self.full)
         for i, value in zip(self.kept, values):
             out[i] = value

@@ -184,7 +184,7 @@ def cmd_batch(args) -> int:
     print(f"planned {len(plan)} task(s) over {plan.n_axes} axes")
     report = run_batch(
         plan, ts, specs, out_dir=args.out, window=window,
-        workers=args.workers, timeout=args.timeout, bound=args.bound,
+        workers=args.workers, timeout=args.timeout,
         progress=sys.stderr if args.progress else None,
     )
     files = write_report(report, args.out)

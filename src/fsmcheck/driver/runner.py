@@ -21,7 +21,6 @@ traces, one directory per combination.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from itertools import accumulate
@@ -39,7 +38,7 @@ from .plan import BatchPlan, PlannedTask
 from .specs import SpecCatalog
 
 if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 VERDICTS = ("PASS", "VIOLATED", "INCONCLUSIVE", "TIMEOUT", "ERROR")
 _SEVERITY = {v: i for i, v in enumerate(("PASS", "INCONCLUSIVE", "VIOLATED", "TIMEOUT", "ERROR"))}
@@ -173,7 +172,6 @@ def run_batch(
     window: tuple[int, int] = (15, 40),
     workers: int = 1,
     timeout: Optional[float] = None,
-    bound: Optional[int] = None,
     progress: Optional[TextIO] = None,
 ) -> BatchReport:
     """Run every unit of plan. With progress, a line goes to that stream
@@ -182,13 +180,12 @@ def run_batch(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    k = bound if bound is not None else plan.bound
 
     tasks = sorted(plan.tasks, key=lambda t: t.sort_key)
     units = []
     for task in tasks:
         check_injection(template, task, window)
-        units += [(task, name, formula, window, k, timeout)
+        units += [(task, name, formula, window, plan.bound, timeout)
                   for name, formula in spec_formulas(task, window, spec_catalog)]
 
     task_results = []
@@ -197,8 +194,9 @@ def run_batch(
             _init_worker(template)
             results = (check_unit(*unit) for unit in units)
         else:
-            # imported here: the process pool pulls in multiprocessing, which
-            # a one-worker batch does not use
+            # imported here, as in _run_pooled and _submit: the process pool
+            # pulls in multiprocessing and logging, which a one-worker batch
+            # does not use
             from concurrent.futures import ProcessPoolExecutor
             pools = [stack.enter_context(ProcessPoolExecutor(
                 max_workers=1, initializer=_init_worker, initargs=(template,)))
@@ -226,7 +224,7 @@ def run_batch(
                       f"ETA {eta:.1f}s", file=progress, flush=True)
 
     return BatchReport(
-        tasks=task_results, n_axes=plan.n_axes, bound=k, workers=workers,
+        tasks=task_results, n_axes=plan.n_axes, bound=plan.bound, workers=workers,
         window=window, total_elapsed=time.perf_counter() - started,
     )
 
@@ -249,6 +247,8 @@ def _run_pooled(units: list[tuple], jobs: list[slice], pools: list[ProcessPoolEx
     per unit. The jobs go out in order, each to the first pool that has
     finished its last one. A pool whose worker crashed gets no more jobs
     while another pool still runs one."""
+    from concurrent.futures import FIRST_COMPLETED, wait
+
     pending = iter(jobs)
     futures: list[Future] = []
     running: dict[Future, ProcessPoolExecutor] = {}  # a job's last unit -> its pool
@@ -273,6 +273,8 @@ def _run_pooled(units: list[tuple], jobs: list[slice], pools: list[ProcessPoolEx
 
 def _submit(pool: ProcessPoolExecutor, unit: tuple) -> Future:
     """pool's future of unit; a broken pool's is failed already."""
+    from concurrent.futures import BrokenExecutor, Future
+
     try:
         return pool.submit(check_unit, *unit)
     except BrokenExecutor as err:

@@ -104,10 +104,10 @@ class Historically(Formula):
 PAST_OPS = (Once, Yesterday, Historically)
 
 
-def has_past(f: Formula) -> bool:
-    if isinstance(f, PAST_OPS):
-        return True
-    return any(has_past(c) for c in children(f))
+class PastEliminationError(Exception):
+    """A past operator over a future subformula: its value at a step would
+    depend on states after it, which no one-bit monitor of the step before
+    can track, so the checker rejects it."""
 
 
 def has_unbounded(f: Formula) -> bool:

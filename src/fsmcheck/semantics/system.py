@@ -265,8 +265,7 @@ class TransitionSystem:
     `define_types` holds each one's type as the binding walk of
     lang.validate found it; only that module reads it, to type the spec
     atoms that name a define. A system that spec atoms are not read
-    against (a slice, a system with past-operator latches) may leave it
-    empty."""
+    against, such as a constant slice, may leave it empty."""
 
     def __init__(
         self,

@@ -11,7 +11,7 @@ from fsmcheck.checker import (
     dependency_graph, replay_counterexample,
 )
 from fsmcheck.lang import parse_model, validate_model
-from fsmcheck.ltl import PrefixVerdict, eliminate_past, parse_ltl
+from fsmcheck.ltl import PrefixVerdict, parse_ltl
 from fsmcheck.checker.core import TimeoutBudget, state_graph
 from fsmcheck.checker.deps import depth_clock, sequential_constants
 from fsmcheck.semantics import (
@@ -258,9 +258,9 @@ def _per_entry_check(task):
 def test_level_phase_matches_per_entry_search(seed):
     """The level phase gives the per-entry search's verdict, field by field,
     and its counterexample's trace text, whether the phase lasts to the
-    bound or hands a level over: on latches that differ across a level, on
-    a split obligation, or on a bits value that two residuals progress
-    apart. Both sides read a model error from the same levels; the oracle
+    bound or hands a level over: on past-operator bits that differ across a
+    level, on a split obligation, or on a bits value that two residuals
+    progress apart. Both sides read a model error from the same levels; the oracle
     suites check it."""
     rng = random.Random(seed)
     pick = rng.randrange(4)
@@ -291,14 +291,15 @@ def test_level_phase_matches_per_entry_search(seed):
     elif shape == 3:
         text = random_past_formula(rng, atoms, rng.randrange(1, 4))
     elif shape == 4:
-        # a latch that takes two values across a level hands it over
+        # a past operator whose bit differs across a level splits the
+        # level's obligations
         past = random_bool_expr(rng, atoms, 1)
         for _ in range(rng.randrange(1, 3)):
             past = f"{rng.choice('OYH')} ({past})"
         text = f"{window} (({past}) -> ({random_bool_expr(rng, atoms, 1)}))"
         if rng.random() < 0.5:
             # a disjunct decided on part of a level hands the others over
-            # with the latch values the phase carried to them
+            # with the past-operator bits the phase carried to them
             text = f"F[{lo},{hi}] ({random_bool_expr(rng, atoms, 1)}) | ({text})"
     else:
         text = random_future_formula(rng, atoms, rng.randrange(1, 4))
@@ -365,16 +366,16 @@ def test_trace_crosses_from_the_per_entry_search_into_the_levels():
 
 
 def test_a_handed_over_level_keeps_its_latch():
-    # O (x = 1) is latched at step 1 on every path; at level 2 the states
+    # O (x = 1) holds from step 1 on every path; at level 2 the states
     # with b decide `X X b` to top, so the others are handed over, and only
-    # the latch they carry makes x = 3 violate at step 3
+    # the monitor bit their obligations carry makes x = 3 violate at step 3
     ts = build(SPLITTING)
     f = parse_ltl("X X b | G (x < 3 | !(O x = 1))", ts)
     task = CheckTask(ts, f, bound_k=6)
     verdict = check_bounded(task)
     assert isinstance(verdict, Counterexample) and verdict.violation_step == 3
     assert verdict == _per_entry_check(task)
-    _assert_agrees_with_oracle(task, verdict, "handed-over latch")
+    _assert_agrees_with_oracle(task, verdict, "handed-over monitor bit")
 
 
 def test_oracle_equivalence_quick():
@@ -393,6 +394,7 @@ def test_oracle_equivalence_quick():
         assert type(fast) is type(slow), f"case {i}: {text}\n{src}\n{fast} vs {slow}"
         if isinstance(fast, Counterexample):
             assert fast.violation_step == slow.violation_step, f"case {i}: {text}"
+            assert trace_to_text(fast.trace) == trace_to_text(slow.trace), f"case {i}: {text}"
             assert replay_counterexample(ts, fast.trace, f) is PrefixVerdict.VIOLATED
         if isinstance(fast, NoCounterexampleWithinBound):
             assert fast.all_paths_decided == slow.all_paths_decided, f"case {i}: {text}"
@@ -421,8 +423,9 @@ def test_oracle_equivalence_past_operators(seed):
 
 
 def _assert_matches_oracle(ts, src, text, rng):
-    """check_bounded agrees with brute_force_check on a random bound, and
-    every counterexample replays to VIOLATED."""
+    """check_bounded agrees with brute_force_check on a random bound, down
+    to the counterexample's trace, and every counterexample replays to
+    VIOLATED."""
     f = parse_ltl(text, ts)
     task = CheckTask(ts, f, bound_k=rng.randrange(0, 4))
     _assert_agrees_with_oracle(task, check_bounded(task), f"{text}, k={task.bound_k}\n{src}")
@@ -434,6 +437,9 @@ def _assert_agrees_with_oracle(task, fast, case):
     assert type(fast) is type(slow), case
     if isinstance(fast, Counterexample):
         assert fast.violation_step == slow.violation_step, case
+        # both return the canonical path: the lexicographically least of
+        # the shortest violating paths, in successor order
+        assert trace_to_text(fast.trace) == trace_to_text(slow.trace), case
         assert replay_counterexample(task.ts, fast.trace, task.formula) is PrefixVerdict.VIOLATED
     if isinstance(fast, NoCounterexampleWithinBound):
         assert fast.all_paths_decided == slow.all_paths_decided, case

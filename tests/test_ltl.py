@@ -4,17 +4,16 @@ import pytest
 
 from fsmcheck.lang import ParseError, parse_model, validate_model
 from fsmcheck.lang.parser import parse_expr_text
+from fsmcheck.checker import (
+    CheckTask, Counterexample, NoCounterexampleWithinBound, brute_force_check, check_bounded,
+)
+from fsmcheck.checker.core import _Obligations
 from fsmcheck.ltl import (
-    PastEliminationError, PrefixVerdict, eliminate_past, format_formula,
-    has_unbounded, holds_on_prefix, parse_ltl,
+    PastEliminationError, PrefixVerdict, format_formula, has_unbounded, holds_on_prefix,
+    parse_ltl,
 )
 from fsmcheck.ltl import formula as F
-from fsmcheck.semantics import (
-    Const, FBinary, FUnary, Trace, VarRef, elaborate, initial_states, scripted_chooser, simulate,
-    seeded_random_chooser, successors,
-)
-
-from helpers import eval_expr
+from fsmcheck.semantics import Const, FBinary, FUnary, Trace, VarRef, elaborate, trace_to_text
 
 H = PrefixVerdict.HOLDS
 V = PrefixVerdict.VIOLATED
@@ -348,50 +347,51 @@ def test_monotonicity_random(ts):
             assert after is before, f"{text}: {before} flipped to {after}"
 
 
-# --- past elimination -------------------------------------------------------
+# --- past monitors ----------------------------------------------------------
+
+ONE_PULSE = """
+MODULE main
+VAR
+  n : 0..4;
+  a : boolean;
+ASSIGN
+  init(n) := 0;
+  next(n) := case n = 4 : n; TRUE : n + 1; esac;
+  init(a) := FALSE;
+  next(a) := n = 1;
+"""
 
 
-def test_latch_progression(ts):
-    f = parse_ltl("O OpModeA", ts)
-    out, aug = eliminate_past(f, ts)
-    assert isinstance(out, F.Atom)
-    assert aug.names()[-1] == "O_OpModeA"
-    # p true only at step 2 -> the atom reads F,F,T,T,T
-    trace = simulate(aug, 4, scripted_chooser({(2, "OpModeA"): True}))
-    assert [s["OpModeA"] for s in trace] == [False, False, True, False, False]
-    assert [eval_expr(out.expr, s) for s in trace] == [False, False, True, True, True]
-
-
-def test_paper_formula_two_latches(ts):
-    f = parse_ltl("G !(O OpModeA & O OpModeB)", ts)
-    out, aug = eliminate_past(f, ts)
-    new = aug.names()[len(ts.names()):]
-    assert new == ["O_OpModeA", "O_OpModeB"]
-    assert format_formula(out) == "G !((O_OpModeA | OpModeA) & (O_OpModeB | OpModeB))"
+def test_latch_progression():
+    # a holds at step 2 only: O a reads F,F,T,T,T, Y a F,F,F,T,F and
+    # H !a T,T,F,F,F, so each spec is violated first where its monitor
+    # turns, and each bi-implication, split in two, holds to the bound
+    ts = build(ONE_PULSE)
+    for text, step in (("G !(O a)", 2), ("G !(Y a)", 3), ("G H !a", 2)):
+        verdict = check_bounded(CheckTask(ts, parse_ltl(text, ts), bound_k=4))
+        assert isinstance(verdict, Counterexample) and verdict.violation_step == step, text
+    for text in ("G ((O a -> n >= 2) & (n >= 2 -> O a))",
+                 "G ((Y a -> n = 3) & (n = 3 -> Y a))",
+                 "G ((H !a -> n < 2) & (n < 2 -> H !a))"):
+        verdict = check_bounded(CheckTask(ts, parse_ltl(text, ts), bound_k=4))
+        assert isinstance(verdict, NoCounterexampleWithinBound), text
 
 
 def test_structural_dedup(ts):
     f = parse_ltl("O OpModeA & (O OpModeA | Y OpModeB)", ts)
-    out, aug = eliminate_past(f, ts)
-    added = len(aug.variables) - len(ts.variables)
-    assert added == 2  # one latch per distinct past subformula
+    assert len(_Obligations(f).monitors) == 2  # one per distinct past subformula
 
 
 def test_past_over_future_rejected(ts):
     f = F.Once(F.Next(parse_ltl("OpModeA", ts)))
     with pytest.raises(PastEliminationError):
-        eliminate_past(f, ts)
+        check_bounded(CheckTask(ts, f, bound_k=3))
 
 
-def test_no_past_returns_same_system(ts):
-    f = parse_ltl("G[0,3] OpModeA", ts)
-    out, aug = eliminate_past(f, ts)
-    assert aug is ts and out is f
-
-
-def test_elimination_equivalence_random():
-    """Eliminated formula evaluated on augmented-system traces agrees with
-    direct past-aware evaluation on the original traces."""
+def test_past_monitors_match_oracle_random():
+    """check_bounded, which tracks past operators in its obligations, gives
+    the verdict and the counterexample trace of the oracle, which evaluates
+    them directly on every path."""
     src = """
 MODULE main
 VAR
@@ -420,13 +420,12 @@ ASSIGN
         f = F.Globally(F.Not(random_past_formula(rng.randrange(1, 3))))
         if rng.random() < 0.5:
             f = F.Or(random_past_formula(1), F.Next(random_past_formula(1)))
-        out, aug = eliminate_past(f, ts)
-        trace = simulate(aug, rng.randrange(1, 8), seeded_random_chooser(i))
-        projected = Trace(
-            tuple(
-                type(s)(s.values[: len(ts.variables)], ts) for s in trace.states
-            )
-        )
-        direct = holds_on_prefix(f, projected)
-        latched = holds_on_prefix(out, trace)
-        assert direct is latched, f"case {i}: {format_formula(f)}"
+        task = CheckTask(ts, f, bound_k=rng.randrange(1, 5))
+        fast, slow = check_bounded(task), brute_force_check(task)
+        case = f"case {i}: {format_formula(f)}\n{fast} vs {slow}"
+        if isinstance(slow, Counterexample):
+            assert isinstance(fast, Counterexample), case
+            assert fast.violation_step == slow.violation_step, case
+            assert trace_to_text(fast.trace) == trace_to_text(slow.trace), case
+        else:
+            assert fast == slow, case
