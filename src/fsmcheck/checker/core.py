@@ -3,13 +3,15 @@
 The search runs over (state, obligation) pairs per depth: the obligation is
 the formula rewritten by progression through the states consumed so far
 (Bacchus & Kabanza, AI 116, 2000), interned with top/bottom absorption so
-identical residuals merge. An obligation collapsing to bottom is exactly a
-Violated prefix verdict, and collapsing to top a Holds verdict, so the
-result contract matches direct three-valued evaluation while exploring
-deduplicated states instead of paths. A past operator is a one-bit monitor
-of the step before (Havelund & Rosu, TACAS 2002), and its bit is kept in
-the obligation beside the future residual (see `_Obligations`), so a
-pair's future depends on its state and its obligation alone.
+identical residuals merge. Its nodes are literals, and/or, next, until and
+release (F s being TRUE U s and G s FALSE R s) and the windows F[a,b] and
+G[a,b]. An obligation collapsing to bottom is exactly a Violated prefix
+verdict, and collapsing to top a Holds verdict, so the result contract
+matches direct three-valued evaluation while exploring deduplicated
+states instead of paths. A past operator is a one-bit monitor of the step
+before (Havelund & Rosu, TACAS 2002), and its bit is kept in the
+obligation beside the future residual (see `_Obligations`), so a pair's
+future depends on its state and its obligation alone.
 
 Per-depth deduplication is sound for counterexample-completeness: a pair
 reached earlier has at least as much remaining bound as a later repeat.
@@ -159,6 +161,12 @@ BOT = 1
 class _Obligations:
     """Hash-consed NNF obligation store with progression.
 
+    The node kinds are top and bot; lit, an atom or its negation; and, or,
+    one join with the absorbing and neutral nodes swapped; x, next; u and
+    r, until and its dual release, with F s stored as TRUE U s and G s as
+    FALSE R s; fw and gw, the dual windows F[a,b] and G[a,b]; and past.
+    Each dual pair has one progression rule.
+
     Each distinct O, Y or H subformula is registered once as a monitor
     (op, body node), the body a state formula over the atoms and the inner
     monitors' values, and it reads as a pseudo-atom. A formula with
@@ -207,39 +215,26 @@ class _Obligations:
     def lit(self, atom: int, neg: bool) -> int:
         return self._mk("lit", (atom, neg))
 
-    def conj(self, ids) -> int:
+    def join(self, op: str, ids) -> int:
+        """The conjunction (op "and") or disjunction ("or") of ids, flattened.
+        BOT absorbs a conjunction and TOP is neutral in it; a disjunction
+        swaps the two."""
+        absorbing, neutral = (BOT, TOP) if op == "and" else (TOP, BOT)
         flat: set[int] = set()
         for i in ids:
-            if i == BOT:
-                return BOT
-            if i == TOP:
+            if i == absorbing:
+                return absorbing
+            if i == neutral:
                 continue
-            if self.kind[i] == "and":
+            if self.kind[i] == op:
                 flat.update(self.payload[i])
             else:
                 flat.add(i)
         if not flat:
-            return TOP
+            return neutral
         if len(flat) == 1:
             return next(iter(flat))
-        return self._mk("and", tuple(sorted(flat)))
-
-    def disj(self, ids) -> int:
-        flat: set[int] = set()
-        for i in ids:
-            if i == TOP:
-                return TOP
-            if i == BOT:
-                continue
-            if self.kind[i] == "or":
-                flat.update(self.payload[i])
-            else:
-                flat.add(i)
-        if not flat:
-            return BOT
-        if len(flat) == 1:
-            return next(iter(flat))
-        return self._mk("or", tuple(sorted(flat)))
+        return self._mk(op, tuple(sorted(flat)))
 
     def progress(self, nid: int, bits: tuple) -> int:
         if nid == TOP or nid == BOT:
@@ -253,38 +248,25 @@ class _Obligations:
         if kind == "lit":
             atom, neg = p
             out = BOT if (bits[atom] == neg) else TOP
-        elif kind == "and":
-            out = self.conj(self.progress(c, bits) for c in p)
-        elif kind == "or":
-            out = self.disj(self.progress(c, bits) for c in p)
+        elif kind == "and" or kind == "or":
+            out = self.join(kind, (self.progress(c, bits) for c in p))
         elif kind == "x":
             out = p
-        elif kind == "f":
-            out = self.disj((self.progress(p, bits), nid))
-        elif kind == "g":
-            out = self.conj((self.progress(p, bits), nid))
-        elif kind == "u":
+        elif kind == "u" or kind == "r":
+            # l U r = r | (l & X (l U r)), and R is its dual
+            outer, inner = ("or", "and") if kind == "u" else ("and", "or")
             l, r = p
-            out = self.disj((self.progress(r, bits), self.conj((self.progress(l, bits), nid))))
-        elif kind == "r":
-            l, r = p
-            out = self.conj((self.progress(r, bits), self.disj((self.progress(l, bits), nid))))
-        elif kind == "fw":
+            later = self.join(inner, (self.progress(l, bits), nid))
+            out = self.join(outer, (self.progress(r, bits), later))
+        elif kind == "fw" or kind == "gw":
             lo, hi, sub = p
             if lo > 0:
-                out = self._mk("fw", (lo - 1, hi - 1, sub))
+                out = self._mk(kind, (lo - 1, hi - 1, sub))
             elif hi == 0:
                 out = self.progress(sub, bits)
-            else:
-                out = self.disj((self.progress(sub, bits), self._mk("fw", (0, hi - 1, sub))))
-        elif kind == "gw":
-            lo, hi, sub = p
-            if lo > 0:
-                out = self._mk("gw", (lo - 1, hi - 1, sub))
-            elif hi == 0:
-                out = self.progress(sub, bits)
-            else:
-                out = self.conj((self.progress(sub, bits), self._mk("gw", (0, hi - 1, sub))))
+            else:  # F[0,h] s = s | F[0,h-1] s, and G[0,h] its dual
+                later = self._mk(kind, (0, hi - 1, sub))
+                out = self.join("or" if kind == "fw" else "and", (self.progress(sub, bits), later))
         elif kind == "past":
             was, residual = p
             step = self.past_memo.get((was, bits))
@@ -349,35 +331,25 @@ class _Obligations:
             return self.lit(self.outer + self.exports.setdefault(j, len(self.exports)), neg)
         if isinstance(f, F.Implies):
             return self._nnf(F.Or(F.Not(f.left), f.right), neg, body)
-        if isinstance(f, F.And):
-            mk = self.disj if neg else self.conj
-            return mk((self._nnf(f.left, neg, body), self._nnf(f.right, neg, body)))
-        if isinstance(f, F.Or):
-            mk = self.conj if neg else self.disj
-            return mk((self._nnf(f.left, neg, body), self._nnf(f.right, neg, body)))
+        if isinstance(f, (F.And, F.Or)):
+            op = "and" if isinstance(f, F.And) != neg else "or"
+            return self.join(op, (self._nnf(f.left, neg, body), self._nnf(f.right, neg, body)))
         if body:
             raise F.PastEliminationError(
                 f"past operator over a future subformula: {F.format_formula(f)}")
         if isinstance(f, F.Next):
             return self._mk("x", self._nnf(f.sub, neg, body))
-        if isinstance(f, F.Finally_):
-            return self._mk("g" if neg else "f", self._nnf(f.sub, neg, body))
-        if isinstance(f, F.Globally):
-            return self._mk("f" if neg else "g", self._nnf(f.sub, neg, body))
-        if isinstance(f, F.Until):
-            l = self._nnf(f.left, neg, body)
-            r = self._nnf(f.right, neg, body)
-            return self._mk("r" if neg else "u", (l, r))
-        if isinstance(f, F.Release):
-            l = self._nnf(f.left, neg, body)
-            r = self._nnf(f.right, neg, body)
-            return self._mk("u" if neg else "r", (l, r))
-        if isinstance(f, F.FinallyWithin):
-            sub = self._nnf(f.sub, neg, body)
-            return self._mk("gw" if neg else "fw", (f.lo, f.hi, sub))
-        if isinstance(f, F.GloballyWithin):
-            sub = self._nnf(f.sub, neg, body)
-            return self._mk("fw" if neg else "gw", (f.lo, f.hi, sub))
+        if isinstance(f, (F.Until, F.Finally_, F.Release, F.Globally)):
+            # F s is TRUE U s and G s is FALSE R s
+            kind = "u" if isinstance(f, (F.Until, F.Finally_)) != neg else "r"
+            if isinstance(f, (F.Until, F.Release)):
+                l, r = self._nnf(f.left, neg, body), self._nnf(f.right, neg, body)
+            else:
+                l, r = (TOP if kind == "u" else BOT), self._nnf(f.sub, neg, body)
+            return self._mk(kind, (l, r))
+        if isinstance(f, (F.FinallyWithin, F.GloballyWithin)):
+            kind = "fw" if isinstance(f, F.FinallyWithin) != neg else "gw"
+            return self._mk(kind, (f.lo, f.hi, self._nnf(f.sub, neg, body)))
         raise TypeError(f"unknown formula node {f!r}")
 
 
@@ -596,8 +568,7 @@ def check_bounded(task: CheckTask, *, level_phase: bool = True) -> Verdict:
 
     The search starts in the level phase at level 0. While the frontier is
     all of level d, each state under the obligation its atom bits give,
-    the atoms of each of level d's states are evaluated once, and each
-    obligation is progressed once per distinct atom-bit value it can
+    each obligation is progressed once per distinct atom-bit value it can
     reach. A bottom result returns the first-parent path of the first such
     state in level order. The phase moves on to level d+1 while each bits
     value of level d+1 gives one result; otherwise level d is handed over,
@@ -608,8 +579,9 @@ def check_bounded(task: CheckTask, *, level_phase: bool = True) -> Verdict:
     initial states, which the phase is tested against.
 
     Both phases step a state at depth d through the graph, under depth d's
-    signature. When an atom reads the depth clock, the atoms are evaluated
-    on the states at their depth, and the per-state memo of atom bits
+    signature, and read its atom bits through one per-state memo, so the
+    atoms are evaluated once per state. When an atom reads the depth clock,
+    the atoms are evaluated on the states at their depth, and the memo
     lasts one depth.
     """
     budget = TimeoutBudget(task.timeout)
@@ -626,6 +598,16 @@ def check_bounded(task: CheckTask, *, level_phase: bool = True) -> Verdict:
     timed = graph.clock is not None and graph.clock.index in reads
     at = graph.at if timed else lambda depth: graph.values
     bits_of: dict[int, tuple] = {}  # state id -> its atom bits, at one depth if timed
+
+    def bits_at(depth: int, ids: tuple[int, ...]) -> list[tuple]:
+        """The atom bits of a level's states, through bits_of."""
+        if timed:
+            bits_of.clear()
+        now = at(depth)
+        for sid in ids:
+            if sid not in bits_of:
+                bits_of[sid] = atom_fn(now[sid])
+        return [bits_of[sid] for sid in ids]
 
     def project(sids: list[int]) -> Trace:
         """The states of a path from depth 0, at full width."""
@@ -645,8 +627,7 @@ def check_bounded(task: CheckTask, *, level_phase: bool = True) -> Verdict:
     # the level phase: the frontier is all of level `leave`, and a state's
     # obligation is `results[its bits]`
     leave = 0
-    now = at(0)
-    level_bits = [atom_fn(now[sid]) for sid in level.ids]
+    level_bits = bits_at(0, level.ids)
     results = {}
     for bits in dict.fromkeys(level_bits):
         res = results[bits] = progress(ob.root, bits)
@@ -656,8 +637,7 @@ def check_bounded(task: CheckTask, *, level_phase: bool = True) -> Verdict:
         following = graph.level(leave + 1, budget)
         if following is None:
             return Timeout(budget.elapsed())
-        now = at(leave + 1)
-        following_bits = [atom_fn(now[sid]) for sid in following.ids]
+        following_bits = bits_at(leave + 1, following.ids)
         # the obligation most states hold is taken to reach all of level
         # leave + 1; the states holding another are stepped: bits -> the
         # other obligations that reach a state with those bits
@@ -666,7 +646,6 @@ def check_bounded(task: CheckTask, *, level_phase: bool = True) -> Verdict:
         others: dict[tuple, set] = {}
         if len(obligations) > 1:
             common = Counter(map(results.__getitem__, level_bits)).most_common(1)[0][0]
-            bits_at = dict(zip(following.ids, following_bits))
             for sid, bits in zip(level.ids, level_bits):
                 held = results[bits]
                 if held == common:
@@ -674,11 +653,11 @@ def check_bounded(task: CheckTask, *, level_phase: bool = True) -> Verdict:
                 out = graph.step(sid, leave)
                 if not isinstance(out, Poison):
                     for nid in out:
-                        others.setdefault(bits_at[nid], set()).add(held)
+                        others.setdefault(bits_of[nid], set()).add(held)
         following_results = {}
         for bits in dict.fromkeys(following_bits):
             res = following_results[bits] = progress(common, bits)
-            if any(progress(held, bits) != res for held in others.get(bits, ())):
+            if others and any(progress(held, bits) != res for held in others.get(bits, ())):
                 break  # level `leave` is handed over
             if res == BOT:
                 chain = graph.path(leave + 1, following_bits.index(bits))

@@ -18,8 +18,9 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..checker.core import _Obligations
 from ..lang.lexer import ParseError
-from ..ltl import has_unbounded, parse_ltl
+from ..ltl import PastEliminationError, has_unbounded, parse_ltl
 from ..semantics.system import TransitionSystem
 
 APPLICABILITY = ("none", "single", "double", "all")
@@ -150,16 +151,19 @@ def load_spec_catalog(catalog: SpecCatalog, probe_ts: TransitionSystem,
     """Check every spec of a parsed catalog against a probe instance.
 
     probe_ts must be an elaborated model instance in which the probe
-    combination is injected, so `<var>_occurred` atoms resolve. Specs with
-    unbounded temporal obligations load with a warning: the bounded checker
-    can never decide them positively on loop-free prefixes.
+    combination is injected, so `<var>_occurred` atoms resolve. A spec the
+    checker cannot check, a past operator over a future subformula, is
+    rejected: building its obligation store raises. Specs with unbounded
+    temporal obligations load with a warning: the bounded checker can never
+    decide them positively on loop-free prefixes.
     """
     warnings = []
     for entry in catalog.entries:
         text = entry.instantiate(probe_substitutions)
         try:
             f = parse_ltl(text, probe_ts)
-        except ParseError as err:
+            _Obligations(f)
+        except (ParseError, PastEliminationError) as err:
             raise SpecFileError(f"spec {entry.name!r}: {err}")
         if has_unbounded(f):
             warnings.append(

@@ -1,20 +1,22 @@
 """Static checks and flattening of parsed models, in one walk.
 
 `bind_model` checks each module on its own (module table, names, enum
-symbols, rule targets, choice positions, case defaults, the instantiation
-graph) and then walks the instance tree from main once. The walk binds each
-instance's parameters (an argument that names an instance is an alias for
-it) and resolves each expression once, to its flat `FExpr` and its type
-together. It reports what it finds as diagnostics instead of raising.
+symbols, rule targets, the instantiation graph, and, in one walk over each
+expression, choice positions and case defaults) and then walks the
+instance tree from main once. The walk binds each instance's parameters
+(an argument that names an instance is an alias for it) and resolves each
+expression once, to its flat `FExpr` and its type together. It reports
+what it finds as diagnostics instead of raising.
 
 `validate_model` returns those diagnostics, and `semantics.elaborate`
 returns the flat system or raises on them, so an empty error list means the
 model elaborates. The system keeps each define's type next to its flat
 expression.
 
-`bind_atom` runs the same walk over one spec atom against a flat system:
-only name lookup differs, so a spec atom is accepted or rejected by the
-rules, and with the diagnostics, that govern model text.
+`bind_atom` runs the same two walks, the shape check and the binding walk,
+over one spec atom against a flat system: only name lookup differs, so a
+spec atom is accepted or rejected by the rules, and with the diagnostics,
+that govern model text.
 """
 from __future__ import annotations
 
@@ -176,40 +178,17 @@ class _Validator:
                     rule.span,
                 )
             rules_seen.add(key)
-            self._check_choice_positions(rule.expr, choice_ok=True)
-            self._check_case_defaults(rule.expr)
+            self._check_shape(rule.expr, choice_ok=True)
         for d in mod.defines:
-            self._check_choice_positions(d.expr, choice_ok=False)
-            self._check_case_defaults(d.expr)
+            self._check_shape(d.expr)
         for inst in mod.instances:
             for a in inst.args:
-                self._check_choice_positions(a, choice_ok=False)
-                self._check_case_defaults(a)
+                self._check_shape(a)
 
-    def _check_case_defaults(self, expr: Expr) -> None:
-        if isinstance(expr, Case):
-            last = expr.arms[-1]
-            if not (isinstance(last.guard, BoolLit) and last.guard.value):
-                self.error(
-                    "case-default",
-                    "case expression must end in a literal TRUE default arm",
-                    expr.span,
-                )
-            for arm in expr.arms:
-                self._check_case_defaults(arm.guard)
-                self._check_case_defaults(arm.result)
-        elif isinstance(expr, Unary):
-            self._check_case_defaults(expr.operand)
-        elif isinstance(expr, Binary):
-            self._check_case_defaults(expr.left)
-            self._check_case_defaults(expr.right)
-        elif isinstance(expr, SetLit):
-            for item in expr.items:
-                self._check_case_defaults(item)
-
-    def _check_choice_positions(self, expr: Expr, choice_ok: bool) -> None:
-        """Set literals may appear only as a rule's right side or as case
-        arm results within one; their items must be choice-free values."""
+    def _check_shape(self, expr: Expr, choice_ok: bool = False) -> None:
+        """A case must end in a literal TRUE default arm. Set literals may
+        appear only as a rule's right side (choice_ok) or as case arm
+        results within one; their items must be choice-free values."""
         if isinstance(expr, SetLit):
             if not choice_ok:
                 self.error(
@@ -218,16 +197,23 @@ class _Validator:
                     expr.span,
                 )
             for item in expr.items:
-                self._check_choice_positions(item, choice_ok=False)
+                self._check_shape(item)
         elif isinstance(expr, Case):
+            last = expr.arms[-1]
+            if not (isinstance(last.guard, BoolLit) and last.guard.value):
+                self.error(
+                    "case-default",
+                    "case expression must end in a literal TRUE default arm",
+                    expr.span,
+                )
             for arm in expr.arms:
-                self._check_choice_positions(arm.guard, choice_ok=False)
-                self._check_choice_positions(arm.result, choice_ok=choice_ok)
+                self._check_shape(arm.guard)
+                self._check_shape(arm.result, choice_ok)
         elif isinstance(expr, Unary):
-            self._check_choice_positions(expr.operand, choice_ok=False)
+            self._check_shape(expr.operand)
         elif isinstance(expr, Binary):
-            self._check_choice_positions(expr.left, choice_ok=False)
-            self._check_choice_positions(expr.right, choice_ok=False)
+            self._check_shape(expr.left)
+            self._check_shape(expr.right)
 
     # -- instance graph ---------------------------------------------------
 
@@ -430,7 +416,7 @@ class _Validator:
             arms = tuple((g, flat) for g, (flat, _) in zip(guards, results))
             return FCase(arms), self._join([t for _, t in results], expr.span)
         if isinstance(expr, SetLit):
-            # position errors are reported by _check_choice_positions
+            # position errors are reported by _check_shape
             items = [self._expr(scope, item) for item in expr.items]
             return FChoice(tuple(flat for flat, _ in items)), self._join([t for _, t in items], expr.span)
         raise TypeError(f"unknown expression node {expr!r}")
@@ -509,8 +495,7 @@ def bind_atom(ts: TransitionSystem, expr: Expr) -> tuple[FExpr, str, list[Diagno
     that type model text. A name is a variable of ts, else one of its
     defines, else one of its enum symbols."""
     b = _AtomBinder(ts)
-    b._check_choice_positions(expr, choice_ok=False)
-    b._check_case_defaults(expr)
+    b._check_shape(expr)
     flat, t = b._expr(None, expr)
     return flat, t[0], b.diags
 

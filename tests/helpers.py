@@ -155,7 +155,7 @@ def random_bool_model(rng: random.Random, n_vars: int, n_nondet: int) -> str:
 def random_future_formula(rng: random.Random, names: list[str], depth: int) -> str:
     if depth <= 0 or rng.random() < 0.3:
         return random_bool_expr(rng, names, 1)
-    pick = rng.randrange(8)
+    pick = rng.randrange(10)
     sub = random_future_formula(rng, names, depth - 1)
     if pick == 0:
         return f"X ({sub})"
@@ -167,6 +167,10 @@ def random_future_formula(rng: random.Random, names: list[str], depth: int) -> s
     if pick == 3:
         lo = rng.randrange(0, 3)
         return f"G[{lo},{lo + rng.randrange(0, 4)}] ({sub})"
+    if pick == 8:
+        return f"F ({sub})"
+    if pick == 9:
+        return f"G ({sub})"
     other = random_future_formula(rng, names, depth - 1)
     if pick == 4:
         return f"({sub}) U ({other})"

@@ -12,6 +12,7 @@ from fsmcheck.checker import (
 )
 from fsmcheck.lang import parse_model, validate_model
 from fsmcheck.ltl import PrefixVerdict, parse_ltl
+from fsmcheck.checker import core
 from fsmcheck.checker.core import TimeoutBudget, state_graph
 from fsmcheck.checker.deps import depth_clock, sequential_constants
 from fsmcheck.semantics import (
@@ -702,3 +703,24 @@ def test_clock_reading_atoms_see_the_depth():
     assert isinstance(verdict, Counterexample) and verdict.violation_step == 5
     assert [s["n"] for s in verdict.trace] == [0, 1, 2, 3, 4, 5]
     assert [s["x"] for s in verdict.trace] == [False, False, False, False, True, True]
+
+
+@pytest.mark.parametrize("level_phase", [True, False])
+def test_atoms_are_evaluated_once_per_state(level_phase):
+    # x does not read the clock n, and the levels repeat the graph's two
+    # states, x false through depth 3 and x true from depth 4 to the bound:
+    # the level phase and the per-entry search share one memo of atom bits
+    ts = build(COUNTER)
+    calls = []
+    compile_tuple = core._compile_tuple
+
+    def counted(name, items):
+        fn = compile_tuple(name, items)
+        return lambda s: calls.append(s) or fn(s)
+
+    with patch.object(core, "_compile_tuple", counted):
+        task = CheckTask(ts, parse_ltl("G (x -> X x)", ts), bound_k=30)
+        verdict = check_bounded(task, level_phase=level_phase)
+    assert verdict == NoCounterexampleWithinBound(30)
+    assert len(state_graph(ts).values) == 2
+    assert len(calls) == 2

@@ -267,6 +267,30 @@ def test_input_errors_exit_two_without_traceback(bundle_dir, tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_batch_rejects_a_spec_the_checker_cannot_check(bundle_dir, tmp_path, capsys):
+    # a past operator over a future subformula parses, but the checker
+    # builds no obligation for it: the catalog load rejects it, and no unit runs
+    specs = tmp_path / "specs.ltl"
+    specs.write_text((bundle_dir / "specs.ltl").read_text()
+                     + "\n[spec x]\napplicability: all\n"
+                     "formula: G[0,70] !(O (F[0,2] Mode = SafeStop))\n")
+    out_dir = tmp_path / "out"
+    code = main([
+        "batch",
+        "--template", str(bundle_dir / "vcs.fsm"),
+        "--failures", str(bundle_dir / "failures.csv"),
+        "--matrix", str(bundle_dir / "target_modes.csv"),
+        "--specs", str(specs),
+        "--range", "1", "2", "1", "2", "--out", str(out_dir),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines()[-1].startswith(
+        "error: spec 'x': past operator over a future subformula: "), captured.err
+    assert "planned" not in captured.out
+    assert not (out_dir / "report.json").exists()
+
+
 def test_check_reports_each_model_error(tmp_path, capsys):
     bad = tmp_path / "bad.fsm"
     bad.write_text("MODULE main VAR x : 5..2; y : boolean; ASSIGN init(y) := 3;")
