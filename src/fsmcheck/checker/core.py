@@ -13,6 +13,15 @@ before (Havelund & Rosu, TACAS 2002), and its bit is kept in the
 obligation beside the future residual (see `_Obligations`), so a pair's
 future depends on its state and its obligation alone.
 
+An obligation store is shared by every check in a process whose formula
+has one skeleton, the slice-rewritten formula with each distinct atom
+replaced by its number. Progression reads a state only through its atom
+bits, indexed by atom number, so a store depends on the skeleton alone; a
+check compiles its own atoms, and tells from them whether they read the
+depth clock. A node's structure is its identity within one table, and the
+id order of a join only changes which children a short-circuit skips, so
+no check's result depends on which checks filled the store before it.
+
 Per-depth deduplication is sound for counterexample-completeness: a pair
 reached earlier has at least as much remaining bound as a later repeat.
 The per-entry search keeps each depth's pairs as entries, each with the
@@ -178,16 +187,13 @@ class _Obligations:
     any past body and numbered first, followed by the values of the
     monitors read there; so the residual's memo keys hold no bit that only
     a past body reads.
+
+    A store is built once per skeleton in a process (`obligation_store`)
+    and shared by its formulas: its atoms are numbers, not expressions.
     """
 
     def __init__(self, formula: F.Formula):
-        atom_ids: dict[FExpr, int] = {}
-        bodies: list[F.Formula] = []
-        _collect_atoms(formula, atom_ids, bodies)
-        self.outer = len(atom_ids)
-        while bodies:
-            _collect_atoms(bodies.pop(), atom_ids, bodies)
-        self.atom_ids = atom_ids
+        self.atom_ids, self.outer = _number_atoms(formula)
         self.kind = ["top", "bot"]
         self.payload: list = [None, None]
         self.table: dict = {("top", None): TOP, ("bot", None): BOT}
@@ -335,8 +341,7 @@ class _Obligations:
             op = "and" if isinstance(f, F.And) != neg else "or"
             return self.join(op, (self._nnf(f.left, neg, body), self._nnf(f.right, neg, body)))
         if body:
-            raise F.PastEliminationError(
-                f"past operator over a future subformula: {F.format_formula(f)}")
+            raise F.PastEliminationError(f)  # `obligation_store` quotes it with its atoms
         if isinstance(f, F.Next):
             return self._mk("x", self._nnf(f.sub, neg, body))
         if isinstance(f, (F.Until, F.Finally_, F.Release, F.Globally)):
@@ -353,6 +358,17 @@ class _Obligations:
         raise TypeError(f"unknown formula node {f!r}")
 
 
+def _number_atoms(formula: F.Formula) -> tuple[dict[FExpr, int], int]:
+    """formula's atoms numbered, outer ones first; and how many are outer."""
+    atom_ids: dict[FExpr, int] = {}
+    bodies: list[F.Formula] = []
+    _collect_atoms(formula, atom_ids, bodies)
+    outer = len(atom_ids)
+    while bodies:
+        _collect_atoms(bodies.pop(), atom_ids, bodies)
+    return atom_ids, outer
+
+
 def _collect_atoms(f: F.Formula, out: dict[FExpr, int], bodies: list[F.Formula]) -> None:
     """Number f's atoms read outside any past body; list the outermost
     past bodies."""
@@ -363,6 +379,24 @@ def _collect_atoms(f: F.Formula, out: dict[FExpr, int], bodies: list[F.Formula])
     else:
         for c in F.children(f):
             _collect_atoms(c, out, bodies)
+
+
+_store = functools.lru_cache(maxsize=1024)(_Obligations)  # skeleton -> its store
+
+
+def obligation_store(formula: F.Formula) -> tuple[_Obligations, tuple[FExpr, ...]]:
+    """The obligation store of formula's skeleton, formula with the
+    expression of its atom i replaced by i, and formula's atoms in that
+    order. A store is built once per skeleton in a process and shared by
+    every formula with that skeleton."""
+    atom_ids, _ = _number_atoms(formula)
+    atoms = tuple(atom_ids)
+    try:
+        return _store(F.map_atoms(formula, atom_ids.__getitem__)), atoms
+    except F.PastEliminationError as err:
+        sub = F.map_atoms(err.args[0], atoms.__getitem__)
+        raise F.PastEliminationError(
+            f"past operator over a future subformula: {F.format_formula(sub)}") from None
 
 
 @functools.lru_cache(maxsize=1024)
@@ -587,13 +621,13 @@ def check_bounded(task: CheckTask, *, level_phase: bool = True) -> Verdict:
     budget = TimeoutBudget(task.timeout)
     graph = state_graph(task.ts)
     sliced = graph.sliced
-    ob = _Obligations(F.map_atoms(task.formula, sliced.rewrite))
-    atom_fn = _compile_tuple("_atoms", tuple(f"bool({_emit(a)})" for a in ob.atom_ids))
+    ob, atoms = obligation_store(F.map_atoms(task.formula, sliced.rewrite))
+    atom_fn = _compile_tuple("_atoms", tuple(f"bool({_emit(a)})" for a in atoms))
     progress = ob.progress
     # at(depth): the states' values as the atoms read them at depth; unless
     # they read the clock, the graph's own serve every depth
     reads: set[int] = set()
-    for e in ob.atom_ids:
+    for e in atoms:
         collect_refs(e, reads)
     timed = graph.clock is not None and graph.clock.index in reads
     at = graph.at if timed else lambda depth: graph.values

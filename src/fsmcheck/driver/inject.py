@@ -59,7 +59,7 @@ def instantiate_model(
     spec_catalog: SpecCatalog,
 ) -> ModelInstance:
     lo, hi = window
-    if lo > hi:
+    if lo < 0 or lo > hi:
         raise InstantiationError(f"bad injection window [{lo}, {hi}]")
     if task.scenario == "double" and lo + 1 > hi:
         raise InstantiationError(
@@ -138,7 +138,7 @@ def check_injection(
     that must have started first); raises InstantiationError where
     instance_system cannot build the instance."""
     lo, hi = window
-    if lo > hi:
+    if lo < 0 or lo > hi:
         raise InstantiationError(f"bad injection window [{lo}, {hi}]")
     va = task.axis_a.variable
     if task.scenario == "single":

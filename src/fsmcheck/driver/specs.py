@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..checker.core import _Obligations
+from ..checker.core import obligation_store
 from ..lang.lexer import ParseError
 from ..ltl import PastEliminationError, has_unbounded, parse_ltl
 from ..semantics.system import TransitionSystem
@@ -162,7 +162,7 @@ def load_spec_catalog(catalog: SpecCatalog, probe_ts: TransitionSystem,
         text = entry.instantiate(probe_substitutions)
         try:
             f = parse_ltl(text, probe_ts)
-            _Obligations(f)
+            obligation_store(f)
         except (ParseError, PastEliminationError) as err:
             raise SpecFileError(f"spec {entry.name!r}: {err}")
         if has_unbounded(f):

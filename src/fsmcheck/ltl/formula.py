@@ -6,7 +6,7 @@ O (once), Y (yesterday), H (historically).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from ..semantics.system import FExpr, format_fexpr
@@ -134,9 +134,10 @@ def map_atoms(f: Formula, fn: Callable[[FExpr], FExpr]) -> Formula:
     """f with the expression e of every atom replaced by fn(e)."""
     if isinstance(f, Atom):
         return Atom(fn(f.expr))
-    subs = {name: map_atoms(getattr(f, name), fn)
-            for name in ("sub", "left", "right") if hasattr(f, name)}
-    return replace(f, **subs)
+    subs = [map_atoms(c, fn) for c in children(f)]
+    if isinstance(f, (FinallyWithin, GloballyWithin)):
+        return type(f)(f.lo, f.hi, *subs)
+    return type(f)(*subs)
 
 
 def format_formula(f: Formula) -> str:

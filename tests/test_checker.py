@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from unittest.mock import patch
 
 import pytest
@@ -568,6 +569,45 @@ def test_shared_graph_matches_fresh_checks(seed):
             assert trace_to_text(shared.trace) == trace_to_text(fresh.trace), case
         if bound <= 4:  # the oracle enumerates every path
             _assert_agrees_with_oracle(task, shared, case)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_shared_obligations_match_fresh_checks(seed):
+    """Formulas with one skeleton share one obligation store in a process:
+    checked in a shuffled order on a warm store cache, each unit gets the
+    verdict and trace of a check on a cleared cache, and the oracle agrees.
+    Some models have a depth clock, so some atoms read it and others of the
+    same skeleton do not."""
+    rng = random.Random(seed)
+    shapes = [rng.choice([random_future_formula, random_past_formula])(
+        rng, ["@0", "@1", "@2"], rng.randrange(1, 4)) for _ in range(2)]
+    units = []
+    for _ in range(2):
+        src = random_int_model(rng, counter=rng.random() < 0.6)
+        atoms = int_model_atoms(build(src))
+        for shape in shapes:
+            for _ in range(2):
+                names = rng.sample(atoms, 3) if len(atoms) >= 3 else rng.choices(atoms, k=3)
+                text = re.sub(r"@(\d)", lambda m: names[int(m.group(1))], shape)
+                units.append((src, text, rng.randrange(0, 9)))
+    systems = {src: build(src) for src, _, _ in units}
+    core._store.cache_clear()
+    warm = {}
+    for i in rng.sample(range(len(units)), len(units)):
+        src, text, bound = units[i]
+        warm[i] = check_bounded(CheckTask(systems[src], parse_ltl(text, systems[src]), bound_k=bound))
+    for i, (src, text, bound) in enumerate(units):
+        core._store.cache_clear()
+        ts = build(src)
+        task = CheckTask(ts, parse_ltl(text, ts), bound_k=bound)
+        fresh = check_bounded(task)
+        case = f"unit {i}: {text}, k={bound}\n{src}"
+        assert warm[i] == fresh, f"{case}\n{warm[i]} vs {fresh}"
+        if isinstance(fresh, Counterexample):
+            assert trace_to_text(warm[i].trace) == trace_to_text(fresh.trace), case
+        if bound <= 3:  # the oracle enumerates every path
+            _assert_agrees_with_oracle(task, fresh, case)
 
 
 SLICED = """

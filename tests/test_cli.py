@@ -244,6 +244,9 @@ def test_input_errors_exit_two_without_traceback(bundle_dir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, argv
         assert any(line.startswith("error: ") for line in err.splitlines()), (argv, err)
+    # a negative window start is rejected as a window, before any spec reads it
+    assert main(batch + ["--range", "1", "1", "1", "1", "--window", "-5", "3"]) == 2
+    assert "error: bad injection window [-5, 3]" in capsys.readouterr().err.splitlines()
     model = str(bundle_dir / "vcs.fsm")
     band = batch + ["--range", "1", "1", "1", "1"]
     check = ["check", model, "--formula", "TRUE"]

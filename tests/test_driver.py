@@ -257,6 +257,7 @@ def test_flat_builder_small_model_builds():
 @pytest.mark.parametrize("variables, window, match", [
     (("f_a",), (20, 10), "bad injection window"),
     (("f_a", "f_b"), (20, 20), "too small for an ordered pair"),
+    (("f_a",), (-5, 3), r"bad injection window \[-5, 3\]"),
 ])
 def test_flat_builder_rejects_bad_window(variables, window, match):
     template = elaborate(parse_model(SMALL))

@@ -7,13 +7,15 @@ from fsmcheck.lang.parser import parse_expr_text
 from fsmcheck.checker import (
     CheckTask, Counterexample, NoCounterexampleWithinBound, brute_force_check, check_bounded,
 )
-from fsmcheck.checker.core import _Obligations
+from fsmcheck.checker.core import obligation_store
 from fsmcheck.ltl import (
     PastEliminationError, PrefixVerdict, format_formula, has_unbounded, holds_on_prefix,
     parse_ltl,
 )
 from fsmcheck.ltl import formula as F
-from fsmcheck.semantics import Const, FBinary, FUnary, Trace, VarRef, elaborate, trace_to_text
+from fsmcheck.semantics import (
+    Const, FBinary, FUnary, Trace, VarRef, elaborate, format_fexpr, trace_to_text,
+)
 
 H = PrefixVerdict.HOLDS
 V = PrefixVerdict.VIOLATED
@@ -379,13 +381,32 @@ def test_latch_progression():
 
 def test_structural_dedup(ts):
     f = parse_ltl("O OpModeA & (O OpModeA | Y OpModeB)", ts)
-    assert len(_Obligations(f).monitors) == 2  # one per distinct past subformula
+    assert len(obligation_store(f)[0].monitors) == 2  # one per distinct past subformula
 
 
 def test_past_over_future_rejected(ts):
     f = F.Once(F.Next(parse_ltl("OpModeA", ts)))
     with pytest.raises(PastEliminationError):
         check_bounded(CheckTask(ts, f, bound_k=3))
+
+
+def test_past_over_future_error_quotes_its_own_atoms(ts):
+    # both formulas have one skeleton, and each error names its own atoms
+    for atom, other in (("OpModeA", "OpModeB"), ("OpModeB", "OpModeA"), ("(n > 2)", "n < 2")):
+        f = parse_ltl(f"G (O (F ({atom})) | {other})", ts)
+        with pytest.raises(PastEliminationError) as err:
+            check_bounded(CheckTask(ts, f, bound_k=3))
+        assert str(err.value) == f"past operator over a future subformula: F {atom}", atom
+
+
+def test_formulas_with_one_skeleton_share_a_store(ts):
+    first, first_atoms = obligation_store(parse_ltl("G (OpModeA -> O (n > 2))", ts))
+    second, second_atoms = obligation_store(parse_ltl("G (OpModeB -> O (n < 5))", ts))
+    assert first is second
+    assert [format_fexpr(a) for a in first_atoms] == ["OpModeA", "(n > 2)"]
+    assert [format_fexpr(a) for a in second_atoms] == ["OpModeB", "(n < 5)"]
+    merged, merged_atoms = obligation_store(parse_ltl("G (OpModeA -> O OpModeA)", ts))
+    assert merged is not first and len(merged_atoms) == 1
 
 
 def test_past_monitors_match_oracle_random():
