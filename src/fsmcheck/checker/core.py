@@ -13,24 +13,14 @@ before (Havelund & Rosu, TACAS 2002), and its bit is kept in the
 obligation beside the future residual (see `_Obligations`), so a pair's
 future depends on its state and its obligation alone.
 
-An obligation store is shared by every check in a process whose formula
-has one skeleton, the slice-rewritten formula with each distinct atom
-replaced by its number. Progression reads a state only through its atom
-bits, indexed by atom number, so a store depends on the skeleton alone; a
-check compiles its own atoms, and tells from them whether they read the
-depth clock. A node's structure is its identity within one table, and the
-id order of a join only changes which children a short-circuit skips, so
-no check's result depends on which checks filled the store before it.
-
-Per-depth deduplication is sound for counterexample-completeness: a pair
-reached earlier has at least as much remaining bound as a later repeat.
-The per-entry search keeps each depth's pairs as entries, each with the
-entry it was first reached from, and walks breadth first: depth by depth,
-the frontier in insertion order, each state's successors in the kernel's
-order. So each pair is first reached along its least path, as a sequence
-of init and successor positions, and the counterexample is canonical: the
-lexicographically least of the shortest violating paths, in successor
-order, which is the path the oracle `brute_force_check` returns.
+An obligation store is shared by every check in a process whose formula has
+one skeleton, the formula with each distinct atom replaced by its number.
+Progression reads a state only through its atom bits, indexed by atom
+number, so a store depends on the skeleton alone; a check compiles its own
+atoms, rewritten through the slice, and tells from them whether they read
+the depth clock. A node's structure is its identity within one table, and
+the id order of a join only changes which children a short-circuit skips,
+so no check's result depends on which checks filled the store before it.
 
 The states come from a `StateGraph` of the system sliced by
 `deps.slice_constants`: its sequential constants are left out, the other
@@ -42,34 +32,43 @@ multi-property checking (Cabodi & Nocco, DATE 2011).
 
 The graph also keeps its breadth-first levels: level 0 is the initial
 states, and level d+1 the successors of level d's states whose step is not
-poisoned, deduplicated in first-encounter order, each with its first
-parent. A spec is checked level by level, the level phase, for as long as
-every state of level d holds one obligation, whichever parent reaches it,
-and none is top. The obligations may differ from state to state. Level
-d+1's states with atom bits b progress every obligation of level d that
-reaches one of them, and if that gives one result, it is the obligation of
-every state with bits b. The obligation most of level d's states hold is
-taken to reach every bits value, and the states holding another are
-stepped to find the bits values they reach; taking too much can only hand
-a level over early.
+poisoned, deduplicated in first-encounter order, with each level-d
+position's successors as a bitset of level d+1's positions, a Python int.
+The search steps sets of states at once, as image computation does in
+symbolic model checking (Burch, Clarke, McMillan, Dill & Hwang, LICS 1990),
+but over explicit interned states. Before depth d's states are read, each
+obligation maps to the bitset of level d's positions it reaches; at depth 0
+the formula reaches all of level 0. Level d's positions are grouped by
+their atom bits, and an obligation is progressed once per bits value whose
+group its bitset meets: bottom is a violation at depth d, top is dropped,
+and any other result holds on the meet. That frontier, each undecided
+obligation with the positions holding it, reaches the OR of its positions'
+successor bitsets at depth d+1; all of level d reaches all of level d+1.
 
-A level is in the order of its states' least paths, since a state is first
-reached from its first parent, so the first bottom state of level d+1,
-with its first-parent path, is the canonical counterexample, and the
-undecided states of level d+1, in level order, are the per-entry search's
-frontier at d+1. When a bits value of level d+1 gives two results, level
-d is handed over; when a state of level d+1 is decided to top, or the
-bound is reached, level d+1 is. A level is handed over as its undecided
-states, explicit entries in level order, and the per-entry search goes on
-from there.
+Per-depth deduplication is sound for counterexample-completeness: a pair
+reached earlier has at least as much remaining bound as a later repeat.
+The search stops at the first depth with a bottom result, so the violation
+step is the earliest. The counterexample is canonical: the
+lexicographically least of the shortest violating paths, as a sequence of
+an init position and successor positions in the kernel's order, which is
+the path the oracle `brute_force_check` returns. Each depth keeps its
+moves, (obligation, positions, result), and the trace is read back from
+them without stepping any obligation again. Going backward from the
+violating depth D, each depth's positions are marked, per obligation, if
+they have a path to a bottom result at D; every marked pair above D has a
+marked successor. Going forward from the least marked initial position,
+each step takes the state's first successor in kernel order that is
+marked under the result of the move it is in, which spells out that least
+path.
 
 A model error is the graph's, shared by every spec of an instance: a path
-ends at a poisoned step whatever its obligation, so the search drops a
-poisoned entry, and the levels record the poison. Level 0 holds the init
-rule's, reported before anything else; level d+1 that of level d's first
-poisoned state. With no counterexample, the first poisoned level d >= 1
-within the bound gives ModelError(d). The oracle's depth-first walk meets
-paths in least-path order too, so both quote the same step of one state.
+ends at a poisoned step whatever its obligation, so a poisoned state's
+successor bitset is empty, and the levels record the poison. Level 0 holds
+the init rule's, reported before anything else; level d+1 that of level
+d's first poisoned state. With no counterexample, the first poisoned level
+d >= 1 within the bound gives ModelError(d). A level is in the order of
+its states' least paths, and the oracle's depth-first walk meets paths in
+least-path order too, so both quote the same step of one state.
 
 The constants hold in every reachable state, so the sliced search visits
 the projections of the unsliced search's states in the same order: initial
@@ -82,8 +81,8 @@ unsliced rule, so the verdict is the one the unsliced system gives.
 The sliced system's depth clock, if it has one (`deps.depth_clock`; a VCS
 instance's `Step`), is held out of the graph's states in turn. Every state
 at depth d holds the clock's value at d, so dropping it is a bijection on
-each level that keeps first-encounter order and first parents. The graph
-interns a state with the clock held at its init value, and the kernel
+each level that keeps first-encounter order and successor bitsets. The
+graph interns a state with the clock held at its init value, and the kernel
 reads the clock only through its inputs, the maximal subexpressions of the
 next rules that read the clock alone, which the graph evaluates at each
 depth's clock value: that tuple is the depth's signature, and the clock
@@ -100,7 +99,6 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -425,8 +423,10 @@ class Poison:
 class Level(NamedTuple):
     """One breadth-first level of a StateGraph."""
 
-    ids: tuple[int, ...]       # its states, in first-encounter order
-    parents: tuple[int, ...]   # each one's first parent, a position in the level before
+    ids: tuple[int, ...]    # its states, in first-encounter order
+    # level d+1: per position of level d, the bitset of its successors'
+    # positions here, 0 for a poisoned step; level 0: ()
+    masks: tuple[int, ...]
     # level 0: the init rule's, if any; level d+1: level d's first poisoned step
     poison: Optional[Poison]
 
@@ -453,9 +453,9 @@ class StateGraph:
     Poison of the init rule that cut their enumeration short; level d+1
     is the successors of level d's states whose step is not poisoned,
     deduplicated in first-encounter order (level d in order, each state's
-    successors in kernel order), each with the position of its first parent
-    in level d, and with the Poison of level d's first poisoned state. A
-    level is cached only once it is complete.
+    successors in kernel order), with the successor bitset of each position
+    of level d over it, and with the Poison of level d's first poisoned
+    state. A level is cached only once it is complete.
     """
 
     def __init__(self, sliced: ConstantSlice, clock: Optional[Clock]):
@@ -531,35 +531,25 @@ class StateGraph:
         while len(levels) <= depth:
             d = len(levels) - 1
             succ = self._succ[self.signature(d)]
-            first: dict[int, int] = {}  # id -> its first parent's position
+            position: dict[int, int] = {}  # id -> its position in level d + 1
+            masks = []
             poison = None
-            for i, sid in enumerate(levels[-1].ids):
+            for sid in levels[-1].ids:
                 if budget.exceeded():
                     return None
                 out = succ[sid]
                 if out is None:
                     out = self.step(sid, d)
+                mask = 0
                 if isinstance(out, Poison):
                     if poison is None:
                         poison = out
-                    continue
-                for nid in out:
-                    if nid not in first:
-                        first[nid] = i
-            levels.append(Level(tuple(first), tuple(first.values()), poison))
+                else:
+                    for nid in out:
+                        mask |= 1 << position.setdefault(nid, len(position))
+                masks.append(mask)
+            levels.append(Level(tuple(position), tuple(masks), poison))
         return levels[depth]
-
-    def path(self, depth: int, i: int) -> list[int]:
-        """The ids from level 0 to position i of level depth, through first
-        parents."""
-        ids = []
-        for d in range(depth, -1, -1):
-            level = self._levels[d]
-            ids.append(level.ids[i])
-            if d:
-                i = level.parents[i]
-        ids.reverse()
-        return ids
 
 
 class _AtDepth:
@@ -589,7 +579,7 @@ def state_graph(ts: TransitionSystem) -> StateGraph:
 # --- the search ---------------------------------------------------------------
 
 
-def check_bounded(task: CheckTask, *, level_phase: bool = True) -> Verdict:
+def check_bounded(task: CheckTask) -> Verdict:
     """Counterexample-complete bounded search.
 
     If any initialized path of length <= bound_k has a Violated prefix
@@ -600,28 +590,22 @@ def check_bounded(task: CheckTask, *, level_phase: bool = True) -> Verdict:
     rule that leaves its domain is ModelError(0) before all that, as in
     the oracle. Model errors are read from the graph's levels only.
 
-    The search starts in the level phase at level 0. While the frontier is
-    all of level d, each state under the obligation its atom bits give,
-    each obligation is progressed once per distinct atom-bit value it can
-    reach. A bottom result returns the first-parent path of the first such
-    state in level order. The phase moves on to level d+1 while each bits
-    value of level d+1 gives one result; otherwise level d is handed over,
-    and on a top result or at the bound level d+1 is. A level's undecided
-    states become explicit (state id, obligation) entries, and the
-    per-entry search takes over from the next depth. With level_phase
-    False, level 0 is handed over at once: the per-entry search from the
-    initial states, which the phase is tested against.
-
-    Both phases step a state at depth d through the graph, under depth d's
-    signature, and read its atom bits through one per-state memo, so the
-    atoms are evaluated once per state. When an atom reads the depth clock,
-    the atoms are evaluated on the states at their depth, and the memo
-    lasts one depth.
+    One loop runs over the depths. At depth d, each obligation's bitset of
+    level d's positions is progressed once per atom-bits group of level d it
+    meets, and the undecided results' positions are stepped to level d+1
+    through the level's successor bitsets. The atom bits are read through
+    one per-state memo, and a level's groups through one memo per level, so
+    the atoms are evaluated once per state, and a level whose states repeat
+    an earlier one's is grouped once. When an atom reads the depth clock,
+    the atoms are evaluated on the states at their depth, and the memos last
+    one depth. The budget is polled once per depth, and once per state
+    stepped while a level is built.
     """
     budget = TimeoutBudget(task.timeout)
     graph = state_graph(task.ts)
     sliced = graph.sliced
-    ob, atoms = obligation_store(F.map_atoms(task.formula, sliced.rewrite))
+    ob, atoms = obligation_store(task.formula)
+    atoms = tuple(map(sliced.rewrite, atoms))
     atom_fn = _compile_tuple("_atoms", tuple(f"bool({_emit(a)})" for a in atoms))
     progress = ob.progress
     # at(depth): the states' values as the atoms read them at depth; unless
@@ -631,22 +615,27 @@ def check_bounded(task: CheckTask, *, level_phase: bool = True) -> Verdict:
         collect_refs(e, reads)
     timed = graph.clock is not None and graph.clock.index in reads
     at = graph.at if timed else lambda depth: graph.values
-    bits_of: dict[int, tuple] = {}  # state id -> its atom bits, at one depth if timed
+    # state id -> its atom bits, and a level's ids -> its atom-bits groups;
+    # if timed, for one depth
+    bits_of: dict[int, tuple] = {}
+    grouped: dict[tuple[int, ...], dict[tuple, int]] = {}
 
-    def bits_at(depth: int, ids: tuple[int, ...]) -> list[tuple]:
-        """The atom bits of a level's states, through bits_of."""
+    def groups(depth: int, ids: tuple[int, ...]) -> dict[tuple, int]:
+        """A level's atom-bits values, each with the bitset of the
+        positions holding it."""
         if timed:
             bits_of.clear()
-        now = at(depth)
-        for sid in ids:
-            if sid not in bits_of:
-                bits_of[sid] = atom_fn(now[sid])
-        return [bits_of[sid] for sid in ids]
-
-    def project(sids: list[int]) -> Trace:
-        """The states of a path from depth 0, at full width."""
-        return Trace(tuple(State(sliced.expand(graph.at(d)[sid]), task.ts)
-                           for d, sid in enumerate(sids)))
+            grouped.clear()
+        out = grouped.get(ids)
+        if out is None:
+            now = at(depth)
+            out = grouped[ids] = {}
+            for i, sid in enumerate(ids):
+                bits = bits_of.get(sid)
+                if bits is None:
+                    bits = bits_of[sid] = atom_fn(now[sid])
+                out[bits] = out.get(bits, 0) | 1 << i
+        return out
 
     def unsliced(p: Poison, at_init: bool) -> str:
         """p's message, quoting the task's rule and not the folded one."""
@@ -658,91 +647,46 @@ def check_bounded(task: CheckTask, *, level_phase: bool = True) -> Verdict:
     level = graph.level(0, budget)
     if level.poison is not None:
         return ModelError(0, unsliced(level.poison, True))
-    # the level phase: the frontier is all of level `leave`, and a state's
-    # obligation is `results[its bits]`
-    leave = 0
-    level_bits = bits_at(0, level.ids)
-    results = {}
-    for bits in dict.fromkeys(level_bits):
-        res = results[bits] = progress(ob.root, bits)
-        if res == BOT:
-            return Counterexample(project(graph.path(0, level_bits.index(bits))), task.formula, 0)
-    while level_phase and results and leave < task.bound_k and TOP not in results.values():
-        following = graph.level(leave + 1, budget)
-        if following is None:
-            return Timeout(budget.elapsed())
-        following_bits = bits_at(leave + 1, following.ids)
-        # the obligation most states hold is taken to reach all of level
-        # leave + 1; the states holding another are stepped: bits -> the
-        # other obligations that reach a state with those bits
-        obligations = set(results.values())
-        common = next(iter(obligations))
-        others: dict[tuple, set] = {}
-        if len(obligations) > 1:
-            common = Counter(map(results.__getitem__, level_bits)).most_common(1)[0][0]
-            for sid, bits in zip(level.ids, level_bits):
-                held = results[bits]
-                if held == common:
-                    continue
-                out = graph.step(sid, leave)
-                if not isinstance(out, Poison):
-                    for nid in out:
-                        others.setdefault(bits_of[nid], set()).add(held)
-        following_results = {}
-        for bits in dict.fromkeys(following_bits):
-            res = following_results[bits] = progress(common, bits)
-            if others and any(progress(held, bits) != res for held in others.get(bits, ())):
-                break  # level `leave` is handed over
-            if res == BOT:
-                chain = graph.path(leave + 1, following_bits.index(bits))
-                return Counterexample(project(chain), task.formula, leave + 1)
-        else:  # each bits value has one result: move on to level leave + 1
-            leave, level = leave + 1, following
-            level_bits, results = following_bits, following_results
-            continue
-        break
-    # entries are (state id, obligation, parent), keyed by (state id,
-    # obligation). A parent is the entry the state was reached from; for an
-    # entry the level phase hands over it is the position of the state's
-    # first parent in level `leave - 1`, and at depth 0 it is None. Only
-    # undecided pairs are entries.
-    frontier: dict[tuple, tuple] = {}
-    for i, sid in enumerate(level.ids):
-        res = results[level_bits[i]]
-        if res != TOP:
-            frontier[(sid, res)] = (sid, res, level.parents[i] if leave else None)
-
-    for depth in range(leave + 1, task.bound_k + 1):
-        if not frontier:
+    levels = [level]
+    history: list[list[tuple[int, int, int]]] = []  # depth -> its moves
+    reach = {ob.root: (1 << len(level.ids)) - 1}  # obligation -> its positions at depth
+    for depth in range(task.bound_k + 1):
+        moves = []
+        frontier: dict[int, int] = {}  # undecided obligation -> its positions
+        violated = False
+        for bits, group in groups(depth, level.ids).items():
+            for obligation, positions in reach.items():
+                meet = positions & group
+                if meet:
+                    res = progress(obligation, bits)
+                    moves.append((obligation, meet, res))
+                    if res == BOT:
+                        violated = True
+                    elif res != TOP:
+                        frontier[res] = frontier.get(res, 0) | meet
+        history.append(moves)
+        if violated:
+            return Counterexample(_trace(graph, levels, history, ob.root, task.ts),
+                                  task.formula, depth)
+        if not frontier or depth == task.bound_k:
             break
-        new_frontier: dict[tuple, tuple] = {}
-        now = at(depth)
-        if timed:
-            bits_of.clear()
-        for entry in frontier.values():
-            if budget.exceeded():
-                return Timeout(budget.elapsed())
-            sid, obligation, _parent = entry
-            out = graph.step(sid, depth - 1)
-            if isinstance(out, Poison):
-                continue
-            for nid in out:
-                bits = bits_of.get(nid)
-                if bits is None:
-                    bits = bits_of[nid] = atom_fn(now[nid])
-                res = progress(obligation, bits)
-                if res == BOT:
-                    chain = [nid]
-                    while isinstance(entry, tuple):
-                        chain.append(entry[0])
-                        entry = entry[2]
-                    chain.reverse()
-                    if entry is not None:
-                        chain[:0] = graph.path(leave - 1, entry)
-                    return Counterexample(project(chain), task.formula, depth)
-                if res != TOP and (nid, res) not in new_frontier:
-                    new_frontier[(nid, res)] = (nid, res, entry)
-        frontier = new_frontier
+        if budget.exceeded():
+            return Timeout(budget.elapsed())
+        full = (1 << len(level.ids)) - 1
+        level = graph.level(depth + 1, budget)
+        if level is None:
+            return Timeout(budget.elapsed())
+        levels.append(level)
+        reach = {}
+        for obligation, positions in frontier.items():
+            if positions == full:
+                image = (1 << len(level.ids)) - 1
+            else:
+                image = 0
+                for i in _members(positions):
+                    image |= level.masks[i]
+            if image:
+                reach[obligation] = image
 
     for depth in range(1, task.bound_k + 1):
         level = graph.level(depth, budget)
@@ -751,3 +695,48 @@ def check_bounded(task: CheckTask, *, level_phase: bool = True) -> Verdict:
         if level.poison is not None:
             return ModelError(depth, unsliced(level.poison, False))
     return NoCounterexampleWithinBound(task.bound_k, all_paths_decided=not frontier)
+
+
+def _members(bitset: int):
+    """The positions in a bitset, in increasing order."""
+    while bitset:
+        low = bitset & -bitset
+        yield low.bit_length() - 1
+        bitset ^= low
+
+
+def _trace(graph: StateGraph, levels: list[Level], history: list[list[tuple]],
+           root: int, ts: TransitionSystem) -> Trace:
+    """The canonical counterexample to the bottom moves of the last depth
+    of history: the least path, in kernel order, through pairs marked as
+    having a path to one of them."""
+    last = len(history) - 1
+    marked: dict[int, int] = {}  # obligation -> its positions with a path to bottom
+    for obligation, meet, res in history[last]:
+        if res == BOT:
+            marked[obligation] = marked.get(obligation, 0) | meet
+    marks = [marked]
+    for depth in range(last - 1, -1, -1):
+        masks = levels[depth + 1].masks
+        later, marked = marked, {}
+        for obligation, meet, res in history[depth]:
+            target = later.get(res)
+            if target:
+                for i in _members(meet):
+                    if masks[i] & target:
+                        marked[obligation] = marked.get(obligation, 0) | 1 << i
+        marks.append(marked)
+    marks.reverse()
+    i = next(_members(marks[0][root]))
+    obligation = root
+    sids = [levels[0].ids[i]]
+    for depth in range(last):
+        obligation = next(res for held, meet, res in history[depth]
+                          if held == obligation and meet >> i & 1)
+        target = marks[depth + 1][obligation]
+        position = {sid: j for j, sid in enumerate(levels[depth + 1].ids)}
+        sid = next(nid for nid in graph.step(sids[-1], depth) if target >> position[nid] & 1)
+        sids.append(sid)
+        i = position[sid]
+    expand = graph.sliced.expand
+    return Trace(tuple(State(expand(graph.at(d)[sid]), ts) for d, sid in enumerate(sids)))

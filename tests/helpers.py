@@ -4,9 +4,13 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+from fsmcheck.checker import core
+from fsmcheck.checker.core import (
+    BOT, TOP, Counterexample, ModelError, NoCounterexampleWithinBound, Poison, TimeoutBudget,
+)
 from fsmcheck.lang import ast
-from fsmcheck.semantics import IntDomain
-from fsmcheck.semantics.exec import eval_fexpr
+from fsmcheck.semantics import IntDomain, State, Trace
+from fsmcheck.semantics.exec import ModelStepError, eval_fexpr
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -308,3 +312,74 @@ def random_constant_model(rng: random.Random) -> tuple[str, set[str], set[str]]:
     lines = ["MODULE main", "VAR"] + [f"  {d}" for d in decls] + ["ASSIGN"]
     lines += [f"  {r}" for r in rules]
     return "\n".join(lines) + "\n", {"k", "c", "p", "q"}, unpinned
+
+
+# --- a reference search at bounds the oracle cannot reach ---------------------
+
+
+def per_entry_check(task):
+    """check_bounded's verdict by a search over explicit (state id,
+    obligation) entries, for the verdicts and traces at bounds where the
+    path-enumerating oracle takes too long. Depth by depth, the frontier in
+    insertion order, each state's successors in kernel order, each entry
+    keeps the entry it was first reached from, so the first bottom result
+    closes the canonical counterexample. It reads the state graph, the
+    obligation store and the model errors as check_bounded does; the
+    oracle suites check those."""
+    graph = core.state_graph(task.ts)
+    sliced = graph.sliced
+    ob, atoms = core.obligation_store(task.formula)
+    atoms = [sliced.rewrite(a) for a in atoms]
+    budget = TimeoutBudget(None)
+
+    def bits(depth, sid):
+        values = graph.at(depth)[sid]
+        return tuple(bool(eval_fexpr(a, values)) for a in atoms)
+
+    def counterexample(entry, depth):
+        sids = []
+        while entry is not None:
+            sid, _, entry = entry
+            sids.append(sid)
+        sids.reverse()
+        trace = Trace(tuple(State(sliced.expand(graph.at(d)[sid]), task.ts)
+                            for d, sid in enumerate(sids)))
+        return Counterexample(trace, task.formula, depth)
+
+    def model_error(p: Poison, depth):
+        v = task.ts.var(p.var)
+        if depth == 0:
+            return ModelError(0, str(ModelStepError(p.var, p.value, v.init, 0)))
+        return ModelError(depth, str(ModelStepError(p.var, p.value, v.next)))
+
+    level = graph.level(0, budget)
+    if level.poison is not None:
+        return model_error(level.poison, 0)
+    frontier = {}  # (state id, obligation) -> (state id, obligation, parent entry)
+    for sid in level.ids:
+        res = ob.progress(ob.root, bits(0, sid))
+        if res == BOT:
+            return counterexample((sid, res, None), 0)
+        if res != TOP:
+            frontier.setdefault((sid, res), (sid, res, None))
+    for depth in range(1, task.bound_k + 1):
+        if not frontier:
+            break
+        following = {}
+        for entry in frontier.values():
+            sid, obligation, _ = entry
+            out = graph.step(sid, depth - 1)
+            if isinstance(out, Poison):
+                continue
+            for nid in out:
+                res = ob.progress(obligation, bits(depth, nid))
+                if res == BOT:
+                    return counterexample((nid, res, entry), depth)
+                if res != TOP:
+                    following.setdefault((nid, res), (nid, res, entry))
+        frontier = following
+    for depth in range(1, task.bound_k + 1):
+        level = graph.level(depth, budget)
+        if level.poison is not None:
+            return model_error(level.poison, depth)
+    return NoCounterexampleWithinBound(task.bound_k, all_paths_decided=not frontier)

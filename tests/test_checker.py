@@ -22,8 +22,8 @@ from fsmcheck.semantics import (
 )
 
 from helpers import (
-    as_dict, int_model_atoms, random_bool_expr, random_bool_model, random_constant_model,
-    random_future_formula, random_int_model, random_past_formula,
+    as_dict, int_model_atoms, per_entry_check, random_bool_expr, random_bool_model,
+    random_constant_model, random_future_formula, random_int_model, random_past_formula,
 )
 
 COUNTER = """
@@ -248,22 +248,15 @@ def test_dependency_graph():
     assert graph["n"] == {"n"}
 
 
-def _per_entry_check(task):
-    """check_bounded with the level phase off: the search hands level 0
-    over and runs its per-entry loop from the initial states. Model errors
-    still come from the graph's levels, as with the phase on."""
-    return check_bounded(task, level_phase=False)
-
-
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(st.integers(min_value=0, max_value=2**32))
-def test_level_phase_matches_per_entry_search(seed):
-    """The level phase gives the per-entry search's verdict, field by field,
-    and its counterexample's trace text, whether the phase lasts to the
-    bound or hands a level over: on past-operator bits that differ across a
-    level, on a split obligation, or on a bits value that two residuals
-    progress apart. Both sides read a model error from the same levels; the oracle
-    suites check it."""
+def test_bitset_search_matches_per_entry_search(seed):
+    """The bitset search gives the per-entry reference search's verdict,
+    field by field, and its counterexample's trace text, at bounds up to 12
+    that the oracle cannot reach: on past-operator bits that differ across a
+    level, on an obligation that splits, or on a bits value that two
+    residuals progress apart. Both sides read a model error from the same
+    levels; the oracle suites check it."""
     rng = random.Random(seed)
     pick = rng.randrange(4)
     if pick < 2:
@@ -282,7 +275,7 @@ def test_level_phase_matches_per_entry_search(seed):
         text = f"{window} ({random_bool_expr(rng, atoms, 2)})"
     elif shape == 1:
         # the states where the trigger holds take on a response, the others
-        # do not: the residuals of a level differ from state to state
+        # do not: the obligations of a level differ from state to state
         trigger, response = (random_bool_expr(rng, atoms, 1) for _ in range(2))
         text = f"G ({trigger} -> X {window} ({response}))"
     elif shape == 2:
@@ -300,19 +293,19 @@ def test_level_phase_matches_per_entry_search(seed):
             past = f"{rng.choice('OYH')} ({past})"
         text = f"{window} (({past}) -> ({random_bool_expr(rng, atoms, 1)}))"
         if rng.random() < 0.5:
-            # a disjunct decided on part of a level hands the others over
-            # with the past-operator bits the phase carried to them
+            # a disjunct decided on part of a level leaves the others
+            # with the past-operator bits they carry
             text = f"F[{lo},{hi}] ({random_bool_expr(rng, atoms, 1)}) | ({text})"
     else:
         text = random_future_formula(rng, atoms, rng.randrange(1, 4))
     bound = rng.randrange(0, 13)
-    levels = check_bounded(CheckTask(ts, parse_ltl(text, ts), bound_k=bound))
+    verdict = check_bounded(CheckTask(ts, parse_ltl(text, ts), bound_k=bound))
     ref_ts = build(src)
-    reference = _per_entry_check(CheckTask(ref_ts, parse_ltl(text, ref_ts), bound_k=bound))
-    case = f"{text}, k={bound}\n{src}\n{levels} vs {reference}"
-    assert levels == reference, case
-    if isinstance(levels, Counterexample):
-        assert trace_to_text(levels.trace) == trace_to_text(reference.trace), case
+    reference = per_entry_check(CheckTask(ref_ts, parse_ltl(text, ref_ts), bound_k=bound))
+    case = f"{text}, k={bound}\n{src}\n{verdict} vs {reference}"
+    assert verdict == reference, case
+    if isinstance(verdict, Counterexample):
+        assert trace_to_text(verdict.trace) == trace_to_text(reference.trace), case
 
 
 MERGING = """
@@ -340,6 +333,28 @@ def test_violating_state_is_reached_from_its_first_parent():
     )
 
 
+def test_levels_keep_each_positions_successors_as_a_bitset():
+    # level 1 is x = 2, x = 1 in kernel order, and both step to x = 3
+    graph = state_graph(build(MERGING))
+    budget = TimeoutBudget(None)
+    assert graph.level(1, budget).masks == (0b11,)
+    level = graph.level(2, budget)
+    assert len(level.ids) == 1
+    assert level.masks == (1, 1)
+
+
+def test_counterexample_leaves_the_violating_states_first_parent():
+    # x = 3 is first reached from x = 2, but only the path through x = 1
+    # violates at step 2
+    ts = build(MERGING)
+    task = CheckTask(ts, parse_ltl("G (x = 1 -> X x != 3)", ts), bound_k=5)
+    verdict = check_bounded(task)
+    assert isinstance(verdict, Counterexample)
+    assert verdict.violation_step == 2
+    assert [s["x"] for s in verdict.trace] == [0, 1, 3]
+    _assert_agrees_with_oracle(task, verdict, "a path past the first parent")
+
+
 SPLITTING = """
 MODULE main
 VAR x : 0..4; b : boolean;
@@ -349,10 +364,10 @@ ASSIGN
 """
 
 
-def test_trace_crosses_from_the_per_entry_search_into_the_levels():
+def test_trace_goes_back_through_a_split_obligation():
     # one obligation covers levels 0 and 1; at level 2 the states with b
-    # add `X b`, so the per-entry search takes over there, and its trace
-    # goes back through the first parents of the levels before
+    # add `X b`, so level 2's positions split between two obligations, and
+    # the trace is read back through the positions of the one that fails
     ts = build(SPLITTING)
     f = parse_ltl("G ((x = 2 & b) -> X b)", ts)
     verdict = check_bounded(CheckTask(ts, f, bound_k=6))
@@ -367,17 +382,18 @@ def test_trace_crosses_from_the_per_entry_search_into_the_levels():
     assert replay_counterexample(ts, verdict.trace, f) is PrefixVerdict.VIOLATED
 
 
-def test_a_handed_over_level_keeps_its_latch():
+def test_a_split_obligation_keeps_its_monitor_bit():
     # O (x = 1) holds from step 1 on every path; at level 2 the states
-    # with b decide `X X b` to top, so the others are handed over, and only
-    # the monitor bit their obligations carry makes x = 3 violate at step 3
+    # with b decide `X X b` to top, so only the others stay undecided, and
+    # only the monitor bit their obligation carries makes x = 3 violate at
+    # step 3
     ts = build(SPLITTING)
     f = parse_ltl("X X b | G (x < 3 | !(O x = 1))", ts)
     task = CheckTask(ts, f, bound_k=6)
     verdict = check_bounded(task)
     assert isinstance(verdict, Counterexample) and verdict.violation_step == 3
-    assert verdict == _per_entry_check(task)
-    _assert_agrees_with_oracle(task, verdict, "handed-over monitor bit")
+    assert verdict == per_entry_check(task)
+    _assert_agrees_with_oracle(task, verdict, "monitor bit of a split obligation")
 
 
 def test_oracle_equivalence_quick():
@@ -639,6 +655,21 @@ def test_sliced_model_error_quotes_the_unsliced_rule():
     assert verdict.detail.endswith("offending rule: (n + k)")
 
 
+def test_atoms_that_the_slice_makes_equal():
+    # k is a sequential constant, so `x = k` and `x = 1` are two atoms of
+    # the formula but one expression over the sliced system
+    ts = build("MODULE main\nVAR k : 0..3; x : 0..3;\nASSIGN\n"
+               "  init(k) := 1; next(k) := k;\n"
+               "  init(x) := 0; next(x) := case x = 3 : 0; TRUE : {x, x + 1}; esac;\n")
+    sliced = state_graph(ts).sliced
+    x_k, x_1 = (parse_ltl(text, ts).expr for text in ("x = k", "x = 1"))
+    assert x_k != x_1 and sliced.rewrite(x_k) == sliced.rewrite(x_1)
+    for text in ("G (x = k -> X x != 1)", "G !(x = k & x != 1)", "F[0,2] (x = k & x = 1)",
+                 "G (O (x = k) -> (x = 1 | Y (x != 1)))"):
+        task = CheckTask(ts, parse_ltl(text, ts), bound_k=5)
+        _assert_agrees_with_oracle(task, check_bounded(task), text)
+
+
 def test_constant_atom_is_decided_by_the_state_that_reads_it():
     # X FALSE is violated by the second state, not by the first one
     ts = build("MODULE main\nVAR c : boolean;\nASSIGN\n  init(c) := FALSE;\n  next(c) := c;\n")
@@ -745,11 +776,12 @@ def test_clock_reading_atoms_see_the_depth():
     assert [s["x"] for s in verdict.trace] == [False, False, False, False, True, True]
 
 
-@pytest.mark.parametrize("level_phase", [True, False])
-def test_atoms_are_evaluated_once_per_state(level_phase):
+@pytest.mark.parametrize("past", [False, True])
+def test_atoms_are_evaluated_once_per_state(past):
     # x does not read the clock n, and the levels repeat the graph's two
     # states, x false through depth 3 and x true from depth 4 to the bound:
-    # the level phase and the per-entry search share one memo of atom bits
+    # every depth reads one memo of atom bits, also when the obligation
+    # carries the state of a past operator
     ts = build(COUNTER)
     calls = []
     compile_tuple = core._compile_tuple
@@ -759,8 +791,9 @@ def test_atoms_are_evaluated_once_per_state(level_phase):
         return lambda s: calls.append(s) or fn(s)
 
     with patch.object(core, "_compile_tuple", counted):
-        task = CheckTask(ts, parse_ltl("G (x -> X x)", ts), bound_k=30)
-        verdict = check_bounded(task, level_phase=level_phase)
+        text = "G (x -> (X x & O !x))" if past else "G (x -> X x)"
+        task = CheckTask(ts, parse_ltl(text, ts), bound_k=30)
+        verdict = check_bounded(task)
     assert verdict == NoCounterexampleWithinBound(30)
     assert len(state_graph(ts).values) == 2
     assert len(calls) == 2
