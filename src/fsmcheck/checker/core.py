@@ -103,7 +103,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 from ..ltl import formula as F
-from ..semantics.exec import ModelStepError, _emit, eval_fexpr, initial_states, step_kernel
+from ..semantics.exec import ModelStepError, _emit, initial_states, step_kernel
 from ..semantics.system import FExpr, State, Trace, TransitionSystem, Value, collect_refs
 from .deps import Clock, ConstantSlice, depth_clock, sequential_constants, slice_constants
 
@@ -463,6 +463,8 @@ class StateGraph:
         self.clock = clock
         self._kernel, self._inputs = step_kernel(
             sliced.system, None if clock is None else clock.index)
+        # their values on a state; instances whose inputs print alike share it
+        self._input_fn = _compile_tuple("_inputs", tuple(map(_emit, self._inputs)))
         self.values: list[tuple] = []  # id -> sliced value tuple, the clock held
         self._succ: list[list] = []    # signature -> id -> successor ids, a Poison, or None
         self._keys: list[tuple] = []   # signature -> the values of the kernel's inputs
@@ -487,7 +489,7 @@ class StateGraph:
             if self.clock is not None:
                 probe: list = [None] * len(self.sliced.system.variables)
                 probe[self.clock.index] = self.clock.at(len(signatures))
-                key = tuple(eval_fexpr(e, probe) for e in self._inputs)
+                key = self._input_fn(probe)
             if key not in self._keys:
                 self._keys.append(key)
                 self._succ.append([None] * len(self.values))

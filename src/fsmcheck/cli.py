@@ -9,12 +9,16 @@
                        [--bound K] [--timeout SECS] [--trace-out FILE] [--print-deps]
     fsmcheck simulate  MODEL --steps N [--seed S]
 
+`batch --workers W` with W > 1 forks W worker processes from the command
+itself, so it needs os.fork; without it such a batch is an input error.
+
 Exit codes: 0 all passed, 1 a violation was found, 2 errors, timeouts, or
 nothing decidable.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -76,7 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="1-based inclusive pair range, rows = first failure")
     sel.add_argument("--singles", action="store_true")
     sel.add_argument("--full", action="store_true")
-    batch.add_argument("--workers", type=_positive_int, default=1)
+    batch.add_argument("--workers", type=_positive_int, default=1,
+                       help="worker processes; above 1 they are forked from this one "
+                            "(needs os.fork), one combination's specs to a worker")
     batch.add_argument("--bound", type=_non_negative_int, default=70)
     batch.add_argument("--timeout", type=_positive_float, default=900.0,
                        help="wall-clock budget per (combination, spec) unit")
@@ -146,6 +152,10 @@ def cmd_gen_vcs(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    if args.workers > 1 and not hasattr(os, "fork"):
+        print("error: --workers above 1 forks its workers, and os.fork is missing here",
+              file=sys.stderr)
+        return 2
     ts = _load_system(args.template)
     catalog = load_failure_catalog(args.failures)
     modes = ts.symbol_universe()

@@ -1,31 +1,37 @@
 """Parallel batch execution.
 
-The unit of parallelism is one (combination, spec) pair. The coordinator
-builds no instance: it checks that every task can be injected, substitutes
-each task's spec formulas, and hands the units to W workers, one call per
-unit, in report order (tasks by (row, col), specs in catalog order). Each
-worker is a one-process pool of its own, and the specs of one combination
-go to one worker together, as a job (see `unit_jobs`), so the
-combination's instance is built and explored once whatever the timing;
-the next job goes to the first worker that is free. The elaborated
-template goes to each worker once, through the pool initializer
-(in-process when W is 1). A worker keeps the last instance system it
-built, keyed by task and window, so the specs of a combination share its
-slice, its compiled kernels and the state graph its checks explore. A
-worker returns a `SpecResult` and the counterexample trace as text; no
-unit id travels. The coordinator takes the results back in dispatch
-order, each task taking as many as it has specs, so report content is a
-pure function of the inputs and never of worker scheduling. It files the
-traces, one directory per combination.
+The unit of work is one (combination, spec) pair. The coordinator builds
+no instance: it checks that every task can be injected, substitutes each
+task's spec formulas, and hands out the units in report order (tasks by
+(row, col), specs in catalog order), one `check_unit` call each: in this
+process with one worker, else in W workers it forks itself once the
+template and the catalog's obligation stores are in memory. They inherit
+both, whatever start method `multiprocessing` defaults to, which nothing
+here imports. The specs of one combination go to one worker as a job (see
+`unit_jobs`), so its instance is built and explored once. A worker keeps
+the last instance it built, reads jobs from its job pipe, and has its
+running job and the next one queued there, so it never waits between
+jobs. Job pipes are written without blocking, so a full one never stalls
+the coordinator while the worker waits for its results to be read. Per
+unit it writes back a length-prefixed pickled `SpecResult` and trace
+text. A dead worker costs the unit it was running ("worker crashed: ..."):
+its unstarted units go back to the front of the queue, for a fresh
+worker. The results come back in unit order, so report content never
+depends on scheduling; the coordinator files the traces, one directory
+per combination. No worker outlives `run_batch`: at the end their job
+pipes close and they are reaped, on an error killed and reaped.
 """
 from __future__ import annotations
 
+import os
+import sys
 import time
-from contextlib import ExitStack
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, TextIO
+from typing import Optional, TextIO
 
 from ..checker import (
     CheckTask, Counterexample, ModelError, NoCounterexampleWithinBound,
@@ -36,9 +42,6 @@ from ..semantics import TransitionSystem, trace_to_text
 from .inject import check_injection, instance_system, spec_formulas
 from .plan import BatchPlan, PlannedTask
 from .specs import SpecCatalog
-
-if TYPE_CHECKING:
-    from concurrent.futures import Future, ProcessPoolExecutor
 
 VERDICTS = ("PASS", "VIOLATED", "INCONCLUSIVE", "TIMEOUT", "ERROR")
 _SEVERITY = {v: i for i, v in enumerate(("PASS", "INCONCLUSIVE", "VIOLATED", "TIMEOUT", "ERROR"))}
@@ -189,19 +192,12 @@ def run_batch(
                   for name, formula in spec_formulas(task, window, spec_catalog)]
 
     task_results = []
-    with ExitStack() as stack:
-        if workers <= 1:
-            _init_worker(template)
-            results = (check_unit(*unit) for unit in units)
-        else:
-            # imported here, as in _run_pooled and _submit: the process pool
-            # pulls in multiprocessing and logging, which a one-worker batch
-            # does not use
-            from concurrent.futures import ProcessPoolExecutor
-            pools = [stack.enter_context(ProcessPoolExecutor(
-                max_workers=1, initializer=_init_worker, initargs=(template,)))
-                for _ in range(workers)]
-            results = _run_pooled(units, unit_jobs(tasks, workers), pools)
+    if workers <= 1:
+        _init_worker(template)
+        results = (check_unit(*unit) for unit in units)
+    else:
+        results = _run_forked(units, unit_jobs(tasks, workers), template, workers)
+    with closing(results):  # on an error, a forked worker is killed and reaped
         for task in tasks:
             specs = []
             for _ in task.specs:
@@ -242,50 +238,113 @@ def unit_jobs(tasks: list[PlannedTask], workers: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
-def _run_pooled(units: list[tuple], jobs: list[slice], pools: list[ProcessPoolExecutor]):
-    """The results of units, in unit order, from one-process pools, one call
-    per unit. The jobs go out in order, each to the first pool that has
-    finished its last one. A pool whose worker crashed gets no more jobs
-    while another pool still runs one."""
-    from concurrent.futures import FIRST_COMPLETED, wait
+class _Worker:
+    """A forked worker, as the coordinator sees it."""
 
-    pending = iter(jobs)
-    futures: list[Future] = []
-    running: dict[Future, ProcessPoolExecutor] = {}  # a job's last unit -> its pool
-
-    def give(pool: ProcessPoolExecutor) -> None:
-        job = next(pending, None)
-        if job is not None:
-            futures.extend(_submit(pool, unit) for unit in units[job])
-            running[futures[-1]] = pool
-
-    for pool in pools:
-        give(pool)
-    for i, (_, name, *_) in enumerate(units):
-        while i >= len(futures) or not futures[i].done():
-            done, _ = wait([*running, *futures[i:i + 1]], return_when=FIRST_COMPLETED)
-            for fut in done & running.keys():
-                pool = running.pop(fut)
-                if fut.exception() is None or not running:
-                    give(pool)
-        yield _collect(futures[i], name)
+    def __init__(self, pid: int, jobs: int, results: int):
+        self.pid, self.jobs, self.results = pid, jobs, results
+        self.out = bytearray()  # framed jobs not yet written to its job pipe
+        self.buf = bytearray()  # bytes from its result pipe not yet unpickled
+        self.held: deque[range] = deque()  # its running job's unit indices, then the next's
 
 
-def _submit(pool: ProcessPoolExecutor, unit: tuple) -> Future:
-    """pool's future of unit; a broken pool's is failed already."""
-    from concurrent.futures import BrokenExecutor, Future
+def _run_forked(units: list[tuple], jobs: list[slice], template: TransitionSystem,
+                workers: int):
+    """The results of units, in unit order, from workers forked here. Each
+    holds its running job and the next; a dead one costs the unit it was
+    running, and its unstarted units go first to a fresh worker."""
+    import pickle
+    import select
+    import signal
+
+    queue = deque(range(job.start, job.stop) for job in jobs)
+    live: dict[int, _Worker] = {}  # result pipe -> its worker
+    got: dict[int, tuple] = {}     # unit index -> its result, until yielded
+
+    def fork() -> _Worker:
+        jobs_r, jobs_w = os.pipe()
+        results_r, results_w = os.pipe()
+        sys.stdout.flush()
+        sys.stderr.flush()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:  # a worker leaves only through os._exit: never into the caller's frames
+                inherited = (fd for w in live.values() for fd in (w.jobs, w.results))
+                for fd in (jobs_w, results_r, *inherited):
+                    os.close(fd)  # so each job pipe ends when the coordinator closes it
+                _init_worker(template)
+                with open(jobs_r, "rb") as source, open(results_w, "wb") as sink:
+                    while header := source.read(8):
+                        for unit in pickle.loads(source.read(int.from_bytes(header, "little"))):
+                            data = pickle.dumps(check_unit(*unit), pickle.HIGHEST_PROTOCOL)
+                            sink.write(len(data).to_bytes(8, "little") + data)
+                            sink.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(jobs_r)
+        os.close(results_w)
+        os.set_blocking(jobs_w, False)
+        live[results_r] = _Worker(pid, jobs_w, results_r)
+        return live[results_r]
+
+    def give(w: _Worker) -> None:
+        if queue:
+            w.held.append(queue.popleft())
+            data = pickle.dumps([units[i] for i in w.held[-1]], pickle.HIGHEST_PROTOCOL)
+            w.out += len(data).to_bytes(8, "little") + data
+
+    def reap(w: _Worker, kill: bool = False) -> int:
+        del live[w.results]
+        if kill:
+            os.kill(w.pid, signal.SIGKILL)
+        os.close(w.jobs)  # unless killed, it leaves when its job pipe ends
+        os.close(w.results)
+        return os.waitstatus_to_exitcode(os.waitpid(w.pid, 0)[1])
+
+    def receive(w: _Worker) -> None:
+        chunk = os.read(w.results, 1 << 16)
+        if chunk:
+            w.buf += chunk
+            while len(w.buf) >= 8 + (size := int.from_bytes(w.buf[:8], "little")):
+                job = w.held.popleft()
+                got[job[0]] = pickle.loads(w.buf[8:8 + size])
+                del w.buf[:8 + size]
+                if len(job) > 1:
+                    w.held.appendleft(job[1:])
+                else:
+                    give(w)
+            return
+        code = reap(w)
+        if w.held:
+            job = w.held.popleft()
+            why = f"exit status {code}" if code >= 0 else f"signal {-code} ({signal.strsignal(-code)})"
+            got[job[0]] = SpecResult(units[job[0]][1], "ERROR", detail=f"worker crashed: {why}"), None
+            queue.extendleft(reversed([j for j in (job[1:], *w.held) if j]))
+        if queue:
+            for fresh in [fork()] * 2:
+                give(fresh)
 
     try:
-        return pool.submit(check_unit, *unit)
-    except BrokenExecutor as err:
-        fut: Future = Future()
-        fut.set_exception(err)
-        return fut
-
-
-def _collect(fut, name: str) -> tuple[SpecResult, Optional[str]]:
-    """The result of a unit's future; a hard worker crash is an ERROR."""
-    try:
-        return fut.result()
-    except Exception as err:
-        return SpecResult(name, "ERROR", detail=f"worker crashed: {type(err).__name__}: {err}"), None
+        for w in [fork() for _ in range(min(workers, len(jobs)))] * 2:
+            give(w)  # every worker's first job, then the ones queued ahead
+        for i in range(len(units)):
+            while i not in got:
+                ready, writable, _ = select.select(
+                    list(live), [w.jobs for w in live.values() if w.out], [])
+                for fd in ready:
+                    receive(live[fd])
+                for w in list(live.values()):
+                    if w.jobs in writable:
+                        try:  # without blocking: a full pipe waits for the next select
+                            del w.out[:os.write(w.jobs, w.out)]
+                        except (BlockingIOError, BrokenPipeError):
+                            pass  # full, or its worker died: its result pipe tells
+            if i == len(units) - 1:  # every result is in
+                for w in list(live.values()):
+                    reap(w)
+            yield got.pop(i)
+    finally:
+        for w in list(live.values()):
+            reap(w, kill=True)

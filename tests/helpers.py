@@ -255,6 +255,22 @@ def random_int_model(rng: random.Random, counter: bool = False) -> str:
     return "\n".join(["MODULE main", "VAR", *decls, "ASSIGN", *rules]) + "\n"
 
 
+def random_merging_model(rng: random.Random) -> str:
+    """Model source with one small int variable whose next value is chosen
+    from a random set that depends on its value. So a state often has
+    several parents at one depth, and a formula over it can hold on the
+    path through the first parent and fail through a later one."""
+    hi = rng.randrange(2, 5)
+
+    def choice() -> str:
+        values = rng.sample(range(hi + 1), rng.randrange(1, 4))
+        return str(values[0]) if len(values) == 1 else "{" + ", ".join(map(str, values)) + "}"
+
+    arms = " ".join(f"n = {v} : {choice()};" for v in range(hi))
+    return (f"MODULE main\nVAR\n  n : 0..{hi};\nASSIGN\n  init(n) := {choice()};\n"
+            f"  next(n) := case {arms} TRUE : {choice()}; esac;\n")
+
+
 def int_model_atoms(ts) -> list[str]:
     """Atoms `(n < c)` over the int variables of a system, and its booleans."""
     atoms = []

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest.mock import patch
 
 import pytest
 
+import fsmcheck
 from fsmcheck.cli import main
 from fsmcheck.driver import (
     load_failure_catalog, load_target_matrix, parse_spec_file, plan_batch,
@@ -183,7 +187,7 @@ def test_batch_report_and_traces_independent_of_workers(bundle_dir, tmp_path):
         latches = {t.model_id: {f"{a.variable}_occurred" for a in (t.axis_a, t.axis_b) if a}
                    for t in plan.tasks}
         reports, traces = [], []
-        for workers in ("1", "2"):
+        for workers in ("1", "2", "3"):
             out_dir = tmp_path / f"{bundle.name}{workers}"
             code = main([
                 "batch",
@@ -209,10 +213,49 @@ def test_batch_report_and_traces_independent_of_workers(bundle_dir, tmp_path):
             reports.append(_without_timing(report))
             traces.append({str(f.relative_to(out_dir)): f.read_bytes()
                            for f in sorted(out_dir.rglob("*.trace"))})
-        assert reports[0] == reports[1]
-        assert traces[0] == traces[1]
+        assert reports[0] == reports[1] == reports[2]
+        assert traces[0] == traces[1] == traces[2]
         assert bool(traces[0]) == (want_code == 1)
     assert {len(specs) for _, specs in planned} == {4, 6}
+
+
+def test_batch_prints_once_when_stdout_is_a_pipe(bundle_dir, tmp_path):
+    # a block-buffered stdout is flushed before each fork, and no worker
+    # flushes the copy it inherited
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(fsmcheck.__file__).resolve().parents[1])
+    done = subprocess.run([
+        sys.executable, "-c", "import sys; from fsmcheck.cli import main; sys.exit(main())",
+        "batch",
+        "--template", str(bundle_dir / "vcs.fsm"),
+        "--failures", str(bundle_dir / "failures.csv"),
+        "--matrix", str(bundle_dir / "target_modes.csv"),
+        "--specs", str(bundle_dir / "specs.ltl"),
+        "--range", "1", "1", "1", "3",
+        "--workers", "2", "--out", str(tmp_path / "out"),
+    ], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("planned ") == 1
+    assert done.stdout.count("report: ") == 1
+
+
+def test_batch_without_fork_rejects_more_than_one_worker(bundle_dir, tmp_path, monkeypatch,
+                                                         capsys):
+    monkeypatch.delattr(os, "fork")
+    batch = [
+        "batch",
+        "--template", str(bundle_dir / "vcs.fsm"),
+        "--failures", str(bundle_dir / "failures.csv"),
+        "--matrix", str(bundle_dir / "target_modes.csv"),
+        "--specs", str(bundle_dir / "specs.ltl"),
+        "--range", "1", "1", "1", "1", "--out", str(tmp_path / "out"),
+    ]
+    assert main(batch + ["--workers", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: --workers above 1 ")
+    assert main(batch + ["--workers", "1"]) == 0
 
 
 def test_check_rejects_bad_model(tmp_path, capsys):

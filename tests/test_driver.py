@@ -15,11 +15,12 @@ from fsmcheck.driver import (
     load_target_matrix, parse_spec_file, plan_batch, report_to_obj, run_batch,
     write_report,
 )
+from fsmcheck.driver.inject import spec_formulas
 from fsmcheck.driver import runner
 from fsmcheck.lang import parse_model, validate_model
 from fsmcheck.ltl import parse_ltl
 from fsmcheck.semantics import elaborate, format_fexpr, scripted_chooser, simulate
-from fsmcheck.semantics.exec import step_kernel
+from fsmcheck.semantics.exec import eval_fexpr, step_kernel
 from fsmcheck.vcs import VcsConfig, generate_vcs_model
 
 from helpers import FIXTURES
@@ -392,6 +393,27 @@ def test_instance_steps_once_per_guard_region(desk, desk6):
     assert len({graph.signature(r[0]) for r in regions}) == 6
 
 
+@pytest.mark.parametrize("config, rows", [(VcsConfig.desk, (1, 3)), (VcsConfig.full, (17, 17))])
+def test_compiled_signature_keys_match_the_tree_walker(config, rows, tmp_path):
+    # every instance of the rows, every depth up to the bound
+    paths = generate_vcs_model(config()).write(tmp_path)
+    catalog = load_failure_catalog(paths["failures"])
+    matrix = load_target_matrix(paths["matrix"], catalog)
+    selector = (rows[0], 1, rows[1], len(catalog.axes))
+    plan = plan_batch(catalog, matrix, parse_spec_file(paths["specs"]), selector, bound=70)
+    template = elaborate(parse_model(paths["model"].read_text()))
+    assert len(plan.tasks) >= len(catalog.axes)
+    for task in plan.tasks:
+        graph = state_graph(instance_system(template, task, (15, 40)))
+        for depth in range(plan.bound + 1):
+            probe = [None] * len(graph.sliced.system.variables)
+            probe[graph.clock.index] = graph.clock.at(depth)
+            want = tuple(eval_fexpr(e, probe) for e in graph._inputs)
+            key = graph._keys[graph.signature(depth)]
+            assert (key, [type(v) for v in key]) == (want, [type(v) for v in want]), \
+                (task.model_id, depth)
+
+
 # --- batch execution ----------------------------------------------------------
 
 
@@ -556,6 +578,58 @@ def _logging_instance_system(log: Path, crash_on: str = ""):
             os._exit(1)
         return instance_system(*args)
     return built
+
+
+def test_a_crash_costs_only_the_unit_it_ran(desk, desk6, tmp_path, monkeypatch):
+    catalog, matrix, specs = desk6
+    plan = plan_batch(catalog, matrix, specs, (1, 1, 2, 2), bound=70)
+    template = elaborate(parse_model(desk.model_text))
+    one = run_batch(plan, template, specs, out_dir=tmp_path / "w1", workers=1)
+    # jobs go out one per worker, then one more each: the first worker runs
+    # the first task with the third queued behind it. It dies in the first
+    # task's fifth spec, before the sixth and before the third task.
+    first = sorted(plan.tasks, key=lambda t: t.sort_key)[0]
+    name, doomed = spec_formulas(first, (15, 40), specs)[4]
+    assert [f for t in plan.tasks for _, f in spec_formulas(t, (15, 40), specs)].count(doomed) == 1
+
+    def parse(text, ts):
+        if text == doomed:
+            os._exit(1)
+        return parse_ltl(text, ts)
+
+    monkeypatch.setattr(runner, "parse_ltl", parse)
+    two = run_batch(plan, template, specs, out_dir=tmp_path / "w2", workers=2)
+    for fresh, task in zip(_without_timing(one), _without_timing(two)):
+        for want, got in zip(fresh.specs, task.specs, strict=True):
+            if (task.model_id, got.name) == (first.model_id, name):
+                assert got == replace(want, verdict="ERROR", detail="worker crashed: exit status 1")
+            else:
+                assert got == want
+        assert replace(task, specs=()) == replace(fresh, specs=())
+
+
+@pytest.mark.parametrize("end", ["normal", "crash", "error"])
+def test_a_pooled_batch_leaves_no_child(end, desk6, tmp_path, monkeypatch):
+    # the mutant files traces; a regular file where a trace directory goes
+    # makes the coordinator raise while the other worker still runs
+    catalog, matrix, specs = desk6
+    plan = plan_batch(catalog, matrix, specs, (6, 3, 6, 5), bound=70)
+    template = elaborate(parse_model(
+        generate_vcs_model(VcsConfig.desk(mutant="swapped-fallback-priority")).model_text))
+    if end == "crash":
+        monkeypatch.setattr(runner, "instance_system",
+                            _logging_instance_system(tmp_path / "built", crash_on="pair_06_04"))
+    if end == "error":
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "pair_06_03").write_text("")
+        with pytest.raises(FileExistsError):
+            run_batch(plan, template, specs, out_dir=tmp_path / "out", workers=2)
+    else:
+        report = run_batch(plan, template, specs, out_dir=tmp_path / "out", workers=2)
+        crashed = {t.model_id for t in report.tasks for s in t.specs if s.verdict == "ERROR"}
+        assert crashed == ({"pair_06_04"} if end == "crash" else set())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_two_workers_build_each_instance_once(desk, desk6, tmp_path, monkeypatch):
