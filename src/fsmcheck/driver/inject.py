@@ -200,23 +200,22 @@ def instance_system(
 
 
 def injection_assertions(task: PlannedTask, window: tuple[int, int],
-                         bound: Optional[int] = None) -> list[tuple[str, str]]:
+                         bound: int) -> list[tuple[str, str]]:
     """Auxiliary soundness specs for an instance: no activation before the
     window start, no reactivation, and the ordered-pair start constraint."""
     lo, hi = window
-    k = bound if bound is not None else task.bound
     va = task.axis_a.variable
     out = [
-        (f"no_early_{va}", f"G[0,{k}] ({va} -> Step >= {lo})"),
-        (f"no_rearm_{va}", f"G[0,{k}] !({va} & Y (!{va} & {va}_occurred))"),
+        (f"no_early_{va}", f"G[0,{bound}] ({va} -> Step >= {lo})"),
+        (f"no_rearm_{va}", f"G[0,{bound}] !({va} & Y (!{va} & {va}_occurred))"),
     ]
     if task.scenario == "double":
         vb = task.axis_b.variable
-        out.append((f"no_early_{vb}", f"G[0,{k}] ({vb} -> Step >= {lo + 1})"))
-        out.append((f"no_rearm_{vb}", f"G[0,{k}] !({vb} & Y (!{vb} & {vb}_occurred))"))
+        out.append((f"no_early_{vb}", f"G[0,{bound}] ({vb} -> Step >= {lo + 1})"))
+        out.append((f"no_rearm_{vb}", f"G[0,{bound}] !({vb} & Y (!{vb} & {vb}_occurred))"))
         out.append(
             ("ordered_start",
-             f"G[0,{k}] !({vb} & !{vb}_occurred & !({va} | {va}_occurred))")
+             f"G[0,{bound}] !({vb} & !{vb}_occurred & !({va} | {va}_occurred))")
         )
     return out
 

@@ -30,7 +30,6 @@ class PlannedTask:
     fatal: bool
     model_id: str
     specs: tuple[str, ...]        # applicable spec names, catalog order
-    bound: int
 
     @property
     def sort_key(self) -> tuple[int, int]:
@@ -63,13 +62,13 @@ def plan_batch(
     tasks: list[PlannedTask] = []
     if selector == "full":
         for i in range(1, n + 1):
-            tasks.append(_single(axes, matrix, specs, i, bound, col=0))
+            tasks.append(_single(axes, matrix, specs, i, col=0))
         for r in range(1, n + 1):
             for c in range(1, n + 1):
-                tasks.append(_cell(axes, matrix, specs, r, c, bound))
+                tasks.append(_cell(axes, matrix, specs, r, c))
     elif selector == "singles":
         for i in range(1, n + 1):
-            tasks.append(_single(axes, matrix, specs, i, bound, col=0))
+            tasks.append(_single(axes, matrix, specs, i, col=0))
     else:
         r1, c1, r2, c2 = selector
         if not (1 <= r1 <= r2 <= n and 1 <= c1 <= c2 <= n):
@@ -78,13 +77,13 @@ def plan_batch(
             )
         for r in range(r1, r2 + 1):
             for c in range(c1, c2 + 1):
-                tasks.append(_cell(axes, matrix, specs, r, c, bound))
+                tasks.append(_cell(axes, matrix, specs, r, c))
     return BatchPlan(tuple(tasks), n_axes=n, bound=bound)
 
 
-def _cell(axes, matrix, specs, r: int, c: int, bound: int) -> PlannedTask:
+def _cell(axes, matrix, specs, r: int, c: int) -> PlannedTask:
     if r == c:
-        return _single(axes, matrix, specs, r, bound, col=c)
+        return _single(axes, matrix, specs, r, col=c)
     a, b = axes[r - 1], axes[c - 1]
     cell = matrix.target(r, c)
     fatal = cell == FATAL
@@ -92,11 +91,11 @@ def _cell(axes, matrix, specs, r: int, c: int, bound: int) -> PlannedTask:
     return PlannedTask(
         row=r, col=c, scenario="double", axis_a=a, axis_b=b,
         target=None if fatal else cell, fatal=fatal,
-        model_id=f"pair_{r:02d}_{c:02d}", specs=names, bound=bound,
+        model_id=f"pair_{r:02d}_{c:02d}", specs=names,
     )
 
 
-def _single(axes, matrix, specs, i: int, bound: int, col: int) -> PlannedTask:
+def _single(axes, matrix, specs, i: int, col: int) -> PlannedTask:
     a = axes[i - 1]
     cell = matrix.target(i, i)
     fatal = cell == FATAL
@@ -105,5 +104,5 @@ def _single(axes, matrix, specs, i: int, bound: int, col: int) -> PlannedTask:
     return PlannedTask(
         row=i, col=col, scenario="single", axis_a=a, axis_b=None,
         target=None if fatal else cell, fatal=fatal,
-        model_id=model_id, specs=names, bound=bound,
+        model_id=model_id, specs=names,
     )

@@ -8,18 +8,19 @@ process with one worker, else in W workers it forks itself once the
 template and the catalog's obligation stores are in memory. They inherit
 both, whatever start method `multiprocessing` defaults to, which nothing
 here imports. The specs of one combination go to one worker as a job (see
-`unit_jobs`), so its instance is built and explored once. A worker keeps
-the last instance it built, reads jobs from its job pipe, and has its
-running job and the next one queued there, so it never waits between
-jobs. Job pipes are written without blocking, so a full one never stalls
-the coordinator while the worker waits for its results to be read. Per
-unit it writes back a length-prefixed pickled `SpecResult` and trace
-text. A dead worker costs the unit it was running ("worker crashed: ..."):
-its unstarted units go back to the front of the queue, for a fresh
-worker. The results come back in unit order, so report content never
-depends on scheduling; the coordinator files the traces, one directory
-per combination. No worker outlives `run_batch`: at the end their job
-pipes close and they are reaped, on an error killed and reaped.
+`unit_jobs`), so its instance is built and explored once. A job is sent
+as its range of unit indices, two 8-byte ints: the worker inherited the
+units at the fork. A worker keeps the last instance it built, reads jobs
+from its job pipe, and has its running job and the next one queued there,
+so it never waits between jobs. A job pipe never holds more than those two
+16-byte jobs, so a write to it never blocks. Per unit the worker writes
+back a length-prefixed pickled `SpecResult` and trace text. A dead worker
+costs the unit it was running ("worker crashed: ..."): its unstarted units
+go back to the front of the queue, for a fresh worker. The results come
+back in unit order, so report content never depends on scheduling; the
+coordinator files the traces, one directory per combination. No worker
+outlives `run_batch`: at the end their job pipes close and they are
+reaped, on an error killed and reaped.
 """
 from __future__ import annotations
 
@@ -192,11 +193,11 @@ def run_batch(
                   for name, formula in spec_formulas(task, window, spec_catalog)]
 
     task_results = []
+    _init_worker(template)  # before any fork, so forked workers inherit it
     if workers <= 1:
-        _init_worker(template)
         results = (check_unit(*unit) for unit in units)
     else:
-        results = _run_forked(units, unit_jobs(tasks, workers), template, workers)
+        results = _run_forked(units, unit_jobs(tasks, workers), workers)
     with closing(results):  # on an error, a forked worker is killed and reaped
         for task in tasks:
             specs = []
@@ -243,19 +244,19 @@ class _Worker:
 
     def __init__(self, pid: int, jobs: int, results: int):
         self.pid, self.jobs, self.results = pid, jobs, results
-        self.out = bytearray()  # framed jobs not yet written to its job pipe
         self.buf = bytearray()  # bytes from its result pipe not yet unpickled
         self.held: deque[range] = deque()  # its running job's unit indices, then the next's
 
 
-def _run_forked(units: list[tuple], jobs: list[slice], template: TransitionSystem,
-                workers: int):
-    """The results of units, in unit order, from workers forked here. Each
+def _run_forked(units: list[tuple], jobs: list[slice], workers: int):
+    """The results of units, in unit order, from workers forked here, which
+    inherit units and are sent each job as its range of unit indices. Each
     holds its running job and the next; a dead one costs the unit it was
     running, and its unstarted units go first to a fresh worker."""
     import pickle
     import select
     import signal
+    import struct
 
     queue = deque(range(job.start, job.stop) for job in jobs)
     live: dict[int, _Worker] = {}  # result pipe -> its worker
@@ -273,10 +274,10 @@ def _run_forked(units: list[tuple], jobs: list[slice], template: TransitionSyste
                 inherited = (fd for w in live.values() for fd in (w.jobs, w.results))
                 for fd in (jobs_w, results_r, *inherited):
                     os.close(fd)  # so each job pipe ends when the coordinator closes it
-                _init_worker(template)
                 with open(jobs_r, "rb") as source, open(results_w, "wb") as sink:
-                    while header := source.read(8):
-                        for unit in pickle.loads(source.read(int.from_bytes(header, "little"))):
+                    while job := source.read(16):
+                        start, stop = struct.unpack("<2q", job)
+                        for unit in units[start:stop]:
                             data = pickle.dumps(check_unit(*unit), pickle.HIGHEST_PROTOCOL)
                             sink.write(len(data).to_bytes(8, "little") + data)
                             sink.flush()
@@ -285,15 +286,17 @@ def _run_forked(units: list[tuple], jobs: list[slice], template: TransitionSyste
                 os._exit(code)
         os.close(jobs_r)
         os.close(results_w)
-        os.set_blocking(jobs_w, False)
         live[results_r] = _Worker(pid, jobs_w, results_r)
         return live[results_r]
 
     def give(w: _Worker) -> None:
         if queue:
-            w.held.append(queue.popleft())
-            data = pickle.dumps([units[i] for i in w.held[-1]], pickle.HIGHEST_PROTOCOL)
-            w.out += len(data).to_bytes(8, "little") + data
+            job = queue.popleft()
+            w.held.append(job)
+            try:  # 16 bytes into a pipe that holds at most two jobs: never blocks
+                os.write(w.jobs, struct.pack("<2q", job.start, job.stop))
+            except BrokenPipeError:
+                pass  # its worker died: its result pipe tells
 
     def reap(w: _Worker, kill: bool = False) -> int:
         del live[w.results]
@@ -331,16 +334,8 @@ def _run_forked(units: list[tuple], jobs: list[slice], template: TransitionSyste
             give(w)  # every worker's first job, then the ones queued ahead
         for i in range(len(units)):
             while i not in got:
-                ready, writable, _ = select.select(
-                    list(live), [w.jobs for w in live.values() if w.out], [])
-                for fd in ready:
+                for fd in select.select(list(live), [], [])[0]:
                     receive(live[fd])
-                for w in list(live.values()):
-                    if w.jobs in writable:
-                        try:  # without blocking: a full pipe waits for the next select
-                            del w.out[:os.write(w.jobs, w.out)]
-                        except (BlockingIOError, BrokenPipeError):
-                            pass  # full, or its worker died: its result pipe tells
             if i == len(units) - 1:  # every result is in
                 for w in list(live.values()):
                     reap(w)

@@ -6,6 +6,9 @@ Sectioned text, one record per spec:
     applicability: none | single | double | all
     formula: <spec text with placeholders>
 
+A name is an identifier (letters, digits and `_`, not starting with a
+digit), since a batch files each spec's trace under it.
+
 Placeholders: {{FAIL_A}} / {{FAIL_B}} name the injected failure variables
 (`<var>_occurred` reaches the injection latch), {{TARGET_MODE}} the matrix
 cell, {{WINDOW_LO}} / {{WINDOW_HI}} the injection window. Their use must
@@ -33,6 +36,7 @@ _ALLOWED = {
 }
 
 _PLACEHOLDER = re.compile(r"\{\{([A-Z_]+)\}\}")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class SpecFileError(Exception):
@@ -133,8 +137,10 @@ def parse_spec_file(path) -> SpecCatalog:
         if line.startswith("[spec ") and line.endswith("]"):
             flush(lineno)
             name = line[len("[spec "):-1].strip()
-            if not name:
-                raise SpecFileError(f"{path}:{lineno}: empty spec name")
+            if not _NAME.fullmatch(name):
+                raise SpecFileError(
+                    f"{path}:{lineno}: spec name is not an identifier: {line!r}"
+                )
             continue
         key, sep, value = line.partition(":")
         if not sep or name is None:

@@ -1,6 +1,6 @@
 from . import ast
 from .lexer import ParseError
-from .parser import parse_expr_text, parse_model
+from .parser import parse_model
 from .printer import pretty_print, print_expr
 from .validate import validate_model
 
@@ -8,7 +8,6 @@ __all__ = [
     "ast",
     "ParseError",
     "parse_model",
-    "parse_expr_text",
     "pretty_print",
     "print_expr",
     "validate_model",

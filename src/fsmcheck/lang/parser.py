@@ -35,14 +35,6 @@ def parse_model(text: str) -> ModelAst:
     return ModelAst(tuple(modules))
 
 
-def parse_expr_text(text: str) -> Expr:
-    """Parse a standalone expression (the tests use this)."""
-    ts = TokenStream(tokenize(text))
-    expr = _parse_expr(ts)
-    ts.expect("EOF", "end of expression")
-    return expr
-
-
 def _parse_module(ts: TokenStream) -> ModuleDecl:
     start = ts.expect("MODULE")
     name = ts.expect("IDENT", "module name").value

@@ -1,7 +1,7 @@
 from .elaborate import ElaborationError, elaborate
 from .exec import (
     ModelStepError, first_choice, initial_states, is_successor,
-    rule_candidates, satisfies_init, scripted_chooser, seeded_random_chooser,
+    rule_candidates, satisfies_init, seeded_random_chooser,
     simulate, successors,
 )
 from .system import (
@@ -15,7 +15,7 @@ __all__ = [
     "elaborate", "ElaborationError",
     "initial_states", "successors", "simulate", "is_successor",
     "satisfies_init", "rule_candidates", "ModelStepError",
-    "first_choice", "seeded_random_chooser", "scripted_chooser",
+    "first_choice", "seeded_random_chooser",
     "TransitionSystem", "State", "Trace", "VarDef", "VarRef",
     "BoolDomain", "EnumDomain", "IntDomain",
     "FExpr", "Const", "FUnary", "FBinary", "FCase", "FChoice", "format_fexpr",

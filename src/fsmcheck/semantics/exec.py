@@ -395,27 +395,6 @@ def seeded_random_chooser(seed: int) -> Chooser:
     return choose
 
 
-def scripted_chooser(script: dict[tuple[int, str], Value], default: Chooser = first_choice) -> Chooser:
-    """Resolve listed (step, var) decisions from a script, defaulting elsewhere.
-
-    Step 0 chooses initial values; step t>0 chooses the value entering state t.
-    """
-
-    def choose(step: int, var: str, candidates: tuple) -> Value:
-        key = (step, var)
-        if key in script:
-            value = script[key]
-            if value not in candidates:
-                raise ValueError(
-                    f"scripted value {value!r} for {var!r} at step {step} "
-                    f"is not among candidates {candidates!r}"
-                )
-            return value
-        return default(step, var, candidates)
-
-    return choose
-
-
 def simulate(ts: TransitionSystem, steps: int, chooser: Chooser = first_choice) -> Trace:
     """Run steps synchronous updates, resolving nondeterminism via chooser.
 

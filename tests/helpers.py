@@ -9,7 +9,7 @@ from fsmcheck.checker.core import (
     BOT, TOP, Counterexample, ModelError, NoCounterexampleWithinBound, Poison, TimeoutBudget,
 )
 from fsmcheck.lang import ast
-from fsmcheck.semantics import IntDomain, State, Trace
+from fsmcheck.semantics import IntDomain, State, Trace, first_choice
 from fsmcheck.semantics.exec import ModelStepError, eval_fexpr
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -27,6 +27,28 @@ def eval_expr(e, s):
 def as_dict(s) -> dict:
     """A state as a map from each variable's name to its value."""
     return {v.name: s.values[i] for i, v in enumerate(s.system.variables)}
+
+
+def scripted_chooser(script: dict, default=first_choice):
+    """A chooser for `simulate` that resolves the listed (step, var)
+    decisions from script and the rest with default.
+
+    Step 0 chooses initial values; step t>0 chooses the value entering state t.
+    """
+
+    def choose(step: int, var: str, candidates: tuple):
+        key = (step, var)
+        if key in script:
+            value = script[key]
+            if value not in candidates:
+                raise ValueError(
+                    f"scripted value {value!r} for {var!r} at step {step} "
+                    f"is not among candidates {candidates!r}"
+                )
+            return value
+        return default(step, var, candidates)
+
+    return choose
 
 
 # --- random AST generation (round-trip property tests) -------------------

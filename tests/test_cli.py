@@ -337,6 +337,37 @@ def test_batch_rejects_a_spec_the_checker_cannot_check(bundle_dir, tmp_path, cap
     assert not (out_dir / "report.json").exists()
 
 
+@pytest.mark.parametrize("name", ["../../escaped_double_failure_mode_stable", "a/b"])
+def test_a_spec_name_must_be_an_identifier(name, tmp_path, capsys):
+    # a batch files each trace under its spec's name; on the mutant, cell
+    # 7 3 violates double_failure_mode_stable and would file its trace
+    bundle = tmp_path / "mutant"
+    assert main(["gen-vcs", "--out", str(bundle), "--desk",
+                 "--mutant", "swapped-fallback-priority"]) == 0
+    capsys.readouterr()
+    specs = bundle / "specs.ltl"
+    lines = specs.read_text().splitlines()
+    lineno = lines.index("[spec double_failure_mode_stable]") + 1
+    lines[lineno - 1] = f"[spec {name}]"
+    specs.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "run" / "out"
+    for argv in (
+        ["batch", "--template", str(bundle / "vcs.fsm"),
+         "--failures", str(bundle / "failures.csv"),
+         "--matrix", str(bundle / "target_modes.csv"), "--specs", str(specs),
+         "--range", "7", "3", "7", "3", "--out", str(out_dir)],
+        ["check", str(bundle / "vcs.fsm"), "--prop", "startup_reaches_normal",
+         "--specs", str(specs)],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {specs}:{lineno}: spec name is not an identifier: '[spec {name}]'"], argv
+        assert captured.out == ""
+    assert not (tmp_path / "run").exists()
+    assert not list(tmp_path.rglob("*.trace"))
+
+
 def test_check_reports_each_model_error(tmp_path, capsys):
     bad = tmp_path / "bad.fsm"
     bad.write_text("MODULE main VAR x : 5..2; y : boolean; ASSIGN init(y) := 3;")

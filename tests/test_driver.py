@@ -19,11 +19,11 @@ from fsmcheck.driver.inject import spec_formulas
 from fsmcheck.driver import runner
 from fsmcheck.lang import parse_model, validate_model
 from fsmcheck.ltl import parse_ltl
-from fsmcheck.semantics import elaborate, format_fexpr, scripted_chooser, simulate
+from fsmcheck.semantics import elaborate, format_fexpr, simulate
 from fsmcheck.semantics.exec import eval_fexpr, step_kernel
 from fsmcheck.vcs import VcsConfig, generate_vcs_model
 
-from helpers import FIXTURES
+from helpers import FIXTURES, scripted_chooser
 
 
 @pytest.fixture(scope="module")
@@ -246,7 +246,7 @@ def small_task(*variables):
     return PlannedTask(
         row=1, col=len(variables) - 1, scenario="double" if b else "single",
         axis_a=a, axis_b=b[0] if b else None, target=None, fatal=True,
-        model_id="small", specs=(), bound=50,
+        model_id="small", specs=(),
     )
 
 
@@ -641,6 +641,23 @@ def test_two_workers_build_each_instance_once(desk, desk6, tmp_path, monkeypatch
     monkeypatch.setattr(runner, "instance_system", _logging_instance_system(log))
     two = run_batch(plan, template, specs, out_dir=tmp_path / "w2", workers=2)
     assert sorted(log.read_text().split()) == sorted(t.model_id for t in plan.tasks)
+    assert _without_timing(one) == _without_timing(two)
+
+
+class _Unpicklable(str):
+    def __reduce__(self):
+        raise TypeError("a unit was pickled")
+
+
+def test_forked_workers_inherit_the_units(desk, desk6, tmp_path, monkeypatch):
+    # a job goes out as its range of unit indices, never as pickled units
+    catalog, matrix, specs = desk6
+    plan = plan_batch(catalog, matrix, specs, (1, 1, 2, 2), bound=70)
+    template = elaborate(parse_model(desk.model_text))
+    one = run_batch(plan, template, specs, out_dir=tmp_path / "w1", workers=1)
+    monkeypatch.setattr(runner, "spec_formulas", lambda *args: [
+        (name, _Unpicklable(formula)) for name, formula in spec_formulas(*args)])
+    two = run_batch(plan, template, specs, out_dir=tmp_path / "w2", workers=2)
     assert _without_timing(one) == _without_timing(two)
 
 

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from fsmcheck.lang import ParseError, parse_model, validate_model
-from fsmcheck.lang.parser import parse_expr_text
 from fsmcheck.checker import (
     CheckTask, Counterexample, NoCounterexampleWithinBound, brute_force_check, check_bounded,
 )

@@ -11,14 +11,14 @@ from fsmcheck.ltl import parse_ltl
 from fsmcheck.semantics import (
     ElaborationError, IntDomain, ModelStepError, State, elaborate,
     first_choice, initial_states, is_successor,
-    scripted_chooser, seeded_random_chooser, simulate, successors, trace_from_text,
+    seeded_random_chooser, simulate, successors, trace_from_text,
     trace_to_text,
 )
 
 from fsmcheck.checker.deps import depth_clock
 from fsmcheck.semantics.exec import _candidates, eval_fexpr, step_kernel
 
-from helpers import as_dict, eval_expr, fixture_text, random_int_model
+from helpers import as_dict, eval_expr, fixture_text, random_int_model, scripted_chooser
 
 
 def build(src):
