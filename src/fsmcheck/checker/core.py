@@ -456,6 +456,11 @@ class StateGraph:
     successors in kernel order), with the successor bitset of each position
     of level d over it, and with the Poison of level d's first poisoned
     state. A level is cached only once it is complete.
+
+    Level d+1 is a function of level d's ids and of depth d's signature,
+    since the successors are memoized per signature. So each level built is
+    kept under that pair, and a level whose pair repeats an earlier one's is
+    that same Level object, with no state stepped and no budget poll.
     """
 
     def __init__(self, sliced: ConstantSlice, clock: Optional[Clock]):
@@ -471,6 +476,7 @@ class StateGraph:
         self._signatures: list[int] = []  # depth -> its signature
         self._ids: dict[tuple, int] = {}
         self._levels: list[Level] = []
+        self._after: dict[tuple, Level] = {}  # (level d's ids, signature(d)) -> level d + 1
 
     def intern(self, values: tuple) -> int:
         sid = self._ids.get(values)
@@ -532,7 +538,11 @@ class StateGraph:
             levels.append(Level(tuple(ids), (), poison))
         while len(levels) <= depth:
             d = len(levels) - 1
-            succ = self._succ[self.signature(d)]
+            key = (levels[d].ids, self.signature(d))
+            if key in self._after:
+                levels.append(self._after[key])
+                continue
+            succ = self._succ[key[1]]
             position: dict[int, int] = {}  # id -> its position in level d + 1
             masks = []
             poison = None
@@ -551,6 +561,7 @@ class StateGraph:
                         mask |= 1 << position.setdefault(nid, len(position))
                 masks.append(mask)
             levels.append(Level(tuple(position), tuple(masks), poison))
+            self._after[key] = levels[-1]
         return levels[depth]
 
 

@@ -10,6 +10,18 @@ Grumberg & Peled, *Model Checking*, 1999; NuSMV applies it with `-coi`).
 The checker checks every system sliced this way; no per-spec cone of
 influence is applied on top.
 
+A derived system (`TransitionSystem.base`, as an instance is of its
+template) starts from the base's set, computed once and cached on the base
+with its readers map: the base's constants among the shared variables and
+the replaced and appended candidates, with those candidates and the readers
+of each replaced variable as the work list. That is the greatest set if
+every replaced variable is a constant of the base and none is one of the
+derived system, as for an instance's failure variables, pinned FALSE in
+the template and given a choice of TRUE and FALSE in the instance: the
+derived set's shared part is then a consistent set of the base, so inside
+the base's set. Where either condition fails, the set is computed from
+scratch.
+
 A depth clock is a variable whose init is a constant in its domain and
 whose next rule reads no other variable and holds no set literal, such as
 a saturating step counter. Every state at depth d holds the same value of
@@ -53,27 +65,70 @@ def sequential_constants(ts: TransitionSystem) -> dict[int, Value]:
     Every variable with a constant init in its domain and a next rule starts
     as a candidate. A candidate whose folded next rule is not its init
     value is dropped, and then only the candidates whose next rule reads it
-    are checked again.
+    are checked again. A derived system starts from its base's set (see the
+    module docstring).
     """
-    consts: dict[int, Value] = {}
-    for i, v in enumerate(ts.variables):
+    base = ts.base
+    if base is not None:
+        found, readers = _constants(base)
+        n = len(base.variables)
+        replaced = [i for i in range(n) if not ts.shares(i)]
+        if all(i in found for i in replaced):
+            new = _candidates(ts, replaced + list(range(n, len(ts.variables))))
+            more = _readers(ts, new)
+            consts = {i: c for i, c in found.items() if ts.shares(i)}
+            consts.update(new)
+            work = list(new) + [r for i in replaced for r in readers.get(i, []) + more.get(i, [])]
+            _drop(ts, consts, work, readers, more)
+            if not any(i in consts for i in replaced):
+                return consts
+    return dict(_constants(ts)[0])
+
+
+def _constants(ts: TransitionSystem) -> tuple[dict[int, Value], dict[int, list[int]]]:
+    """ts's constants from scratch and its readers map, cached on ts."""
+    if ts._constants is None:
+        ts._constants = _fixpoint(ts)
+    return ts._constants
+
+
+def _fixpoint(ts: TransitionSystem) -> tuple[dict[int, Value], dict[int, list[int]]]:
+    consts = _candidates(ts, range(len(ts.variables)))
+    readers = _readers(ts, consts)
+    _drop(ts, consts, list(consts), readers)
+    return consts, readers
+
+
+def _candidates(ts: TransitionSystem, indices) -> dict[int, Value]:
+    out: dict[int, Value] = {}
+    for i in indices:
+        v = ts.variables[i]
         if isinstance(v.init, Const) and v.next is not None and v.domain.contains(v.init.value):
-            consts[i] = v.init.value
-    readers: dict[int, list[int]] = {i: [] for i in consts}
-    for i in consts:
+            out[i] = v.init.value
+    return out
+
+
+def _readers(ts: TransitionSystem, candidates) -> dict[int, list[int]]:
+    """Each variable a next rule of candidates reads -> those candidates."""
+    readers: dict[int, list[int]] = {}
+    for i in candidates:
         reads: set[int] = set()
         collect_refs(ts.variables[i].next, reads)
         for j in reads:
-            if j in readers:
-                readers[j].append(i)
+            readers.setdefault(j, []).append(i)
+    return readers
+
+
+def _drop(ts: TransitionSystem, consts: dict[int, Value], work: list[int], *readers) -> None:
+    """Drop each candidate of the work list whose folded next rule is not
+    its value from consts, and put its readers on the list."""
     env: dict[int, FExpr] = {i: Const(c) for i, c in consts.items()}
-    work = list(consts)
     while work:
         i = work.pop()
         if i in env and not same_const(fold(ts.variables[i].next, env), consts[i]):
             del env[i], consts[i]
-            work.extend(readers[i])
-    return consts
+            for r in readers:
+                work.extend(r.get(i, ()))
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,8 @@ def instance_system(
     template: TransitionSystem, task: PlannedTask, window: tuple[int, int],
 ) -> TransitionSystem:
     """The instance of a task, built on the elaborated template with the
-    rules that _injection_block writes as text."""
+    rules that _injection_block writes as text, derived from the template
+    (its `base`): only the injected axes are replaced."""
     injections = check_injection(template, task, window)
     next_step = FBinary("+", VarRef(template.index["Step"], "Step"), Const(1))
     variables = list(template.variables)
@@ -196,6 +197,7 @@ def instance_system(
         defines=template.defines,
         source_name=template.source_name,
         define_types=template.define_types,
+        base=template,
     )
 
 

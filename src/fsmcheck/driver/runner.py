@@ -21,6 +21,10 @@ back in unit order, so report content never depends on scheduling; the
 coordinator files the traces, one directory per combination. No worker
 outlives `run_batch`: at the end their job pipes close and they are
 reaped, on an error killed and reaped.
+
+Before any fork, `_init_worker` also computes what every instance derives
+from the template (its `base`): its sequential constants and the tree
+walker's memo, so the workers inherit them too.
 """
 from __future__ import annotations
 
@@ -38,8 +42,10 @@ from ..checker import (
     CheckTask, Counterexample, ModelError, NoCounterexampleWithinBound,
     Timeout, check_bounded, replay_counterexample,
 )
+from ..checker.deps import sequential_constants
 from ..ltl import PrefixVerdict, parse_ltl
 from ..semantics import TransitionSystem, trace_to_text
+from ..semantics.exec import step_memo
 from .inject import check_injection, instance_system, spec_formulas
 from .plan import BatchPlan, PlannedTask
 from .specs import SpecCatalog
@@ -122,6 +128,8 @@ def _init_worker(template: TransitionSystem) -> None:
     global _template, _last
     _template = template
     _last = None  # an instance of another template may share its key
+    sequential_constants(template)  # what every instance derives from it
+    step_memo(template)
 
 
 def _instance(task: PlannedTask, window: tuple[int, int]) -> TransitionSystem:

@@ -25,8 +25,10 @@ lexicographically over the ordered variables, choices in listed order.
 A step of the tree walker (`_step`) memoizes each variable's candidates on
 the system (`TransitionSystem._steps`), keyed by the values of the
 variables its next rule reads, so the replays of one instance's traces
-evaluate each rule once per distinct input. Only candidates inside the
-domain are memoized: a poisoned step raises at every call.
+evaluate each rule once per distinct input. A variable shared with the
+system's base has the base's entry, so the replays of all instances of a
+template fill one memo. Only candidates inside the domain are memoized: a
+poisoned step raises at every call.
 """
 from __future__ import annotations
 
@@ -214,7 +216,7 @@ def step_kernel(ts: TransitionSystem, clock: Optional[int] = None):
     sub: dict[int, str] = {}
     inputs: list[FExpr] = []
     parts = []
-    checks = []
+    ranges = []
     for i, v in enumerate(ts.variables):
         if v.next is None:
             parts.append(repr(v.domain.values()))
@@ -227,17 +229,19 @@ def step_kernel(ts: TransitionSystem, clock: Optional[int] = None):
             inputs.append(v.next)
         parts.append(_emit_candidates(v.next, sub))
         if isinstance(v.domain, IntDomain):
-            checks.append(
-                f"    for x in c[{i}]:\n"
-                f"        if not {v.domain.lo} <= x <= {v.domain.hi}:\n"
-                f"            raise ModelStepError(_vars[{i}].name, x, _vars[{i}].next)\n"
-            )
+            ranges.append((i, v.domain.lo, v.domain.hi))
     body = (",\n        ".join(parts) + ",") if parts else ""
-    src = f"def _step_all(s, k=()):\n    c = (\n        {body}\n    )\n{''.join(checks)}    return c\n"
+    src = (f"def _step_all(s, k=()):\n    c = (\n        {body}\n    )\n"
+           "    for i, lo, hi in _ranges:\n"
+           "        for x in c[i]:\n"
+           "            if not lo <= x <= hi:\n"
+           "                raise ModelStepError(_vars[i].name, x, _vars[i].next)\n"
+           "    return c\n")
     # the namespace holds the variables but not ts, and not the function
     # either, whose globals it is: no reference cycle forms, and the kernel
     # is freed with its last user, not at the next cyclic collection
-    ns: dict = {"_uniq": _uniq, "_vars": ts.variables, "ModelStepError": ModelStepError}
+    ns = {"_uniq": _uniq, "_vars": ts.variables, "_ranges": ranges,
+          "ModelStepError": ModelStepError}
     exec(compile(src, f"<step:{ts.source_name}>", "exec"), ns)
     return ns.pop("_step_all"), tuple(inputs)
 
@@ -315,15 +319,24 @@ def initial_states(ts: TransitionSystem,
     yield from expand(0)
 
 
-def _step(ts: TransitionSystem, values: tuple) -> list[tuple[Value, ...]]:
-    """Each variable's next-value candidates on values, memoized on ts per
-    variable and the values its next rule reads; a poisoned candidate
-    raises and is not memoized, so it raises again at every call."""
+def step_memo(ts: TransitionSystem) -> list[tuple[Callable, dict]]:
+    """Per variable of ts, the values its next rule reads as a function of
+    a state, and a dict from them to its candidates; a variable shared with
+    ts's base has the base's entry."""
     memo = ts._steps
     if memo is None:
-        memo = ts._steps = [(_reader(v.next), {}) for v in ts.variables]
+        memo = ts._steps = [step_memo(ts.base)[i] if ts.shares(i) else (_reader(v.next), {})
+                            for i, v in enumerate(ts.variables)]
+    return memo
+
+
+def _step(ts: TransitionSystem, values: tuple) -> list[tuple[Value, ...]]:
+    """Each variable's next-value candidates on values, memoized per
+    variable and the values its next rule reads (`step_memo`); a poisoned
+    candidate raises and is not memoized, so it raises again at every
+    call."""
     out = []
-    for v, (read, seen) in zip(ts.variables, memo):
+    for v, (read, seen) in zip(ts.variables, step_memo(ts)):
         key = read(values)
         cands = seen.get(key)
         if cands is None:

@@ -254,12 +254,19 @@ class VarDef:
 
 
 class TransitionSystem:
-    """Immutable after construction, apart from three lazy caches: the enum
-    symbols (`_symbols`), made at first use; the checker's state graph
-    (`_graph`, see checker.core), which grows as checks of the system
-    explore it; and the tree walker's memo of next-rule candidates
+    """Immutable after construction, apart from four lazy caches: the enum
+    symbols (`_symbols`), made at first use; the sequential constants with
+    their readers (`_constants`, see checker.deps); the checker's state
+    graph (`_graph`, see checker.core), which grows as checks of the
+    system explore it; and the tree walker's memo of next-rule candidates
     (`_steps`, see semantics.exec), which grows as steps are taken. None
     of them changes what the system means.
+
+    `base` is the system this one is derived from, if any, as an instance is
+    from its template. A variable is shared (`shares`) when it is the same
+    VarDef as the base's at its index, replaced when not, and appended past
+    the base's length. A derived system's constants start from the base's,
+    and each shared variable's tree-walker memo is the base's own.
 
     `defines` maps each qualified DEFINE name to its flat expression.
     `define_types` holds each one's type as the binding walk of
@@ -273,20 +280,29 @@ class TransitionSystem:
         defines: Optional[dict[str, FExpr]] = None,
         source_name: str = "<model>",
         define_types: Optional[dict[str, tuple]] = None,
+        base: Optional["TransitionSystem"] = None,
     ):
         self.variables = variables
+        self.base = base
         self.defines = dict(defines or {})
         self.define_types = dict(define_types or {})
         self.source_name = source_name
         self.index = {v.name: i for i, v in enumerate(variables)}
         if len(self.index) != len(variables):
             raise ValueError("duplicate qualified variable name")
+        self._constants: Optional[tuple] = None  # (index -> value, readers)
         self._graph = None  # explored lazily, by the checks of this system
         self._steps: Optional[list] = None  # filled lazily, by tree-walking steps
         self._symbols: Optional[frozenset[str]] = None
 
     def var(self, name: str) -> VarDef:
         return self.variables[self.index[name]]
+
+    def shares(self, i: int) -> bool:
+        """Variable i is its base's variable i, the same VarDef."""
+        base = self.base
+        return (base is not None and i < len(base.variables)
+                and self.variables[i] is base.variables[i])
 
     def names(self) -> list[str]:
         return [v.name for v in self.variables]

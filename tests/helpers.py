@@ -421,3 +421,11 @@ def per_entry_check(task):
         if level.poison is not None:
             return model_error(level.poison, depth)
     return NoCounterexampleWithinBound(task.bound_k, all_paths_decided=not frontier)
+
+
+class Forgetful(dict):
+    """A memo that keeps nothing: a state graph's `_after` set to one
+    builds every level, as without the memo of repeated levels."""
+
+    def __setitem__(self, key, value):
+        pass

@@ -15,14 +15,17 @@ from fsmcheck.lang import parse_model, validate_model
 from fsmcheck.ltl import PrefixVerdict, parse_ltl
 from fsmcheck.checker import core
 from fsmcheck.checker.core import TimeoutBudget, state_graph
+from fsmcheck.checker import deps
 from fsmcheck.checker.deps import depth_clock, sequential_constants
 from fsmcheck.semantics import (
-    BoolDomain, Const, State, Trace, TransitionSystem, VarDef, elaborate, simulate, successors,
-    trace_to_text,
+    BoolDomain, Const, State, Trace, TransitionSystem, VarDef, elaborate, initial_states,
+    simulate, successors, trace_to_text,
 )
+from fsmcheck.semantics.exec import ModelStepError, step_kernel
+from fsmcheck.semantics.system import FBinary, FChoice, VarRef
 
 from helpers import (
-    as_dict, int_model_atoms, per_entry_check, random_bool_expr, random_bool_model,
+    Forgetful, as_dict, int_model_atoms, per_entry_check, random_bool_expr, random_bool_model,
     random_constant_model, random_future_formula, random_int_model, random_merging_model,
     random_past_formula,
 )
@@ -804,3 +807,134 @@ def test_atoms_are_evaluated_once_per_state(past):
     assert verdict == NoCounterexampleWithinBound(30)
     assert len(state_graph(ts).values) == 2
     assert len(calls) == 2
+
+
+# --- systems derived from a base ------------------------------------------------
+
+
+def _derive(base: TransitionSystem, rng: random.Random, how: str) -> TransitionSystem:
+    """base with one or two variables replaced, as an instance replaces its
+    failure variables, and a latch appended for each.
+
+    "instance": each replaced variable is a constant of the base, and gets
+    a choice of its value or another one, or no next rule, which leaves it
+    no candidate. "stays": a constant is replaced by a copy of itself, so
+    it stays constant. "unpinned": a variable that is not a constant of the
+    base is replaced."""
+    found = sequential_constants(base)
+    n = len(base.variables)
+    pool = sorted(found) if how != "unpinned" else [i for i in range(n) if i not in found]
+    variables = list(base.variables)
+    for i in rng.sample(pool, min(len(pool), rng.randrange(1, 3))):
+        v = variables[i]
+        ref = VarRef(i, v.name)
+        if how == "instance":
+            other = rng.choice([x for x in v.domain.values() if x != found[i]])
+            rule = rng.choice([FChoice((ref, Const(other))), None,
+                               FChoice((Const(found[i]), Const(other)))])
+            variables[i] = VarDef(v.name, v.domain, v.init, rule)
+            j = rng.choice([i, *found])  # the latch reads it, or another constant
+            moved = FBinary("!=", VarRef(j, base.variables[j].name), Const(found[j]))
+        else:
+            variables[i] = VarDef(v.name, v.domain, v.init, v.next)
+            moved = Const(False)
+        latch = VarRef(len(variables), f"{v.name}_occurred")
+        # sometimes a latch that never sets, which stays constant
+        rule = latch if rng.random() < 0.3 else FBinary("|", latch, moved)
+        variables.append(VarDef(latch.name, BoolDomain(), init=Const(False), next=rule))
+    return TransitionSystem(tuple(variables), base=base)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_derived_constants_match_the_fixpoint_from_scratch(seed):
+    """A derived system's constants, computed from its base's, are the
+    greatest set that the work list finds from scratch; where a replaced
+    variable breaks a condition, they are computed from scratch."""
+    rng = random.Random(seed)
+    src, _, _ = random_constant_model(rng)
+    base = build(src)
+    how = rng.choice(["instance", "instance", "stays", "unpinned"])
+    derived = _derive(base, rng, how)
+    replaced = [i for i, v in enumerate(base.variables) if derived.variables[i] is not v]
+    scratch = deps._fixpoint
+    calls = []
+    with patch.object(deps, "_fixpoint", lambda ts: calls.append(ts) or scratch(ts)):
+        got = sequential_constants(derived)
+    assert got == scratch(derived)[0], (how, replaced, src)
+    # an instance derives them: the base's are cached, and no fixpoint is
+    # computed from scratch; the two broken derivations compute one
+    assert calls == ([] if how == "instance" else [derived]), (how, replaced, src)
+
+
+def test_a_standalone_system_computes_its_constants_once():
+    ts = build(SLICED)
+    assert ts.base is None
+    scratch = deps._fixpoint
+    calls = []
+    with patch.object(deps, "_fixpoint", lambda ts: calls.append(ts) or scratch(ts)):
+        first, second = sequential_constants(ts), sequential_constants(ts)
+    assert first == second == {ts.index["k"]: 2} and first is not second
+    assert calls == [ts]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_repeated_levels_equal_a_memo_free_rebuild(seed):
+    """A level whose (ids, signature) repeats an earlier level's is that
+    level again: to depth 70 the levels equal those built with no memo of
+    repeated levels, poisoned steps included."""
+    rng = random.Random(seed)
+    src = random_int_model(rng, counter=rng.random() < 0.7)
+    graph, fresh = state_graph(build(src)), state_graph(build(src))
+    fresh._after = Forgetful()
+    budget = TimeoutBudget(None)
+    for depth in range(71):
+        assert graph.level(depth, budget) == fresh.level(depth, budget), (depth, src)
+
+
+def test_a_repeated_level_is_built_once():
+    # the graph holds x and the clock n; depth d's signature is n >= 3 at
+    # n = d, and x's next value is that. Levels 1-3 come from the state x
+    # false under a false signature, and levels 5 on from the state x true
+    # under a true one, so only levels 1, 4 and 5 are built, each from one
+    # state that the budget is polled for
+    ts = build(COUNTER)
+    graph = state_graph(ts)
+    budget = _CountingBudget()
+    levels = [graph.level(d, budget) for d in range(30)]
+    assert len(graph.values) == 2
+    assert levels[1] is levels[2] is levels[3] and levels[4] is not levels[1]
+    assert len({id(level) for level in levels[5:]}) == 1
+    assert budget.polls == 3
+
+
+class _CountingBudget(TimeoutBudget):
+    def __init__(self):
+        super().__init__(None)
+        self.polls = 0
+
+    def exceeded(self) -> bool:
+        self.polls += 1
+        return False
+
+
+@pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+def test_kernel_reports_the_first_variable_out_of_range(order):
+    # both ints leave their range in one step: the kernel, the tree walker
+    # and the check name the one declared first, with its value
+    decls = " ".join(f"{v} : 0..2;" for v in order)
+    ts = build(f"MODULE main\nVAR {decls}\nASSIGN\n"
+               "  init(a) := 2; next(a) := a + 1;\n  init(b) := 2; next(b) := b + 2;\n")
+    first = order[0]
+    value = {"a": 3, "b": 4}[first]
+    kernel, _ = step_kernel(ts)
+    (s,) = initial_states(ts)
+    with pytest.raises(ModelStepError) as fast:
+        kernel(s.values)
+    with pytest.raises(ModelStepError) as slow:
+        successors(ts, s)
+    assert (fast.value.var, fast.value.value) == (slow.value.var, slow.value.value) == (first, value)
+    verdict = check_bounded(CheckTask(ts, parse_ltl("G TRUE", ts), bound_k=2))
+    assert isinstance(verdict, ModelError) and verdict.step == 1
+    assert f"for {first!r}" in verdict.detail

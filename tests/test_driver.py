@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from fsmcheck.checker import CheckTask, NoCounterexampleWithinBound, check_bounded
-from fsmcheck.checker.core import state_graph
+from fsmcheck.checker import deps
+from fsmcheck.checker.core import TimeoutBudget, state_graph
+from fsmcheck.checker.deps import sequential_constants
 from fsmcheck.driver import (
     CatalogError, FailureEntry, InstantiationError, MatrixError, PlannedTask,
     PlanRangeError, SpecFileError, injection_assertions, instance_system,
@@ -20,10 +22,10 @@ from fsmcheck.driver import runner
 from fsmcheck.lang import parse_model, validate_model
 from fsmcheck.ltl import parse_ltl
 from fsmcheck.semantics import elaborate, format_fexpr, simulate
-from fsmcheck.semantics.exec import eval_fexpr, step_kernel
+from fsmcheck.semantics.exec import eval_fexpr, step_kernel, step_memo
 from fsmcheck.vcs import VcsConfig, generate_vcs_model
 
-from helpers import FIXTURES, scripted_chooser
+from helpers import FIXTURES, Forgetful, scripted_chooser
 
 
 @pytest.fixture(scope="module")
@@ -393,16 +395,23 @@ def test_instance_steps_once_per_guard_region(desk, desk6):
     assert len({graph.signature(r[0]) for r in regions}) == 6
 
 
+def _bundle_plan(config, selector, tmp_path):
+    """The elaborated template of a generated bundle and the plan of
+    selector over it, or of whole rows (r1, r2) over every column."""
+    paths = generate_vcs_model(config).write(tmp_path)
+    catalog = load_failure_catalog(paths["failures"])
+    matrix = load_target_matrix(paths["matrix"], catalog)
+    if isinstance(selector, tuple) and len(selector) == 2:
+        selector = (selector[0], 1, selector[1], len(catalog.axes))
+    plan = plan_batch(catalog, matrix, parse_spec_file(paths["specs"]), selector, bound=70)
+    assert len(plan.tasks) >= len(catalog.axes)
+    return elaborate(parse_model(paths["model"].read_text())), plan
+
+
 @pytest.mark.parametrize("config, rows", [(VcsConfig.desk, (1, 3)), (VcsConfig.full, (17, 17))])
 def test_compiled_signature_keys_match_the_tree_walker(config, rows, tmp_path):
     # every instance of the rows, every depth up to the bound
-    paths = generate_vcs_model(config()).write(tmp_path)
-    catalog = load_failure_catalog(paths["failures"])
-    matrix = load_target_matrix(paths["matrix"], catalog)
-    selector = (rows[0], 1, rows[1], len(catalog.axes))
-    plan = plan_batch(catalog, matrix, parse_spec_file(paths["specs"]), selector, bound=70)
-    template = elaborate(parse_model(paths["model"].read_text()))
-    assert len(plan.tasks) >= len(catalog.axes)
+    template, plan = _bundle_plan(config(), rows, tmp_path)
     for task in plan.tasks:
         graph = state_graph(instance_system(template, task, (15, 40)))
         for depth in range(plan.bound + 1):
@@ -412,6 +421,59 @@ def test_compiled_signature_keys_match_the_tree_walker(config, rows, tmp_path):
             key = graph._keys[graph.signature(depth)]
             assert (key, [type(v) for v in key]) == (want, [type(v) for v in want]), \
                 (task.model_id, depth)
+
+
+@pytest.mark.parametrize("config, selector", [
+    (VcsConfig.desk(), "full"),
+    (VcsConfig.desk(mutant="swapped-fallback-priority"), "full"),
+    (VcsConfig.full(), (1, 3)),
+], ids=["desk", "mutant-desk", "full-rows-1-3"])
+def test_instance_constants_derive_from_the_template(config, selector, tmp_path, monkeypatch):
+    # every instance, with the template's constants computed first: none
+    # computes a fixpoint from scratch, and each gets the one it would
+    template, plan = _bundle_plan(config, selector, tmp_path)
+    assert sequential_constants(template)
+    scratch = deps._fixpoint
+    monkeypatch.setattr(deps, "_fixpoint", lambda ts: pytest.fail("a fixpoint from scratch"))
+    for task in plan.tasks:
+        ts = instance_system(template, task, (15, 40))
+        assert sequential_constants(ts) == scratch(ts)[0], task.model_id
+
+
+@pytest.mark.parametrize("config, rows", [(VcsConfig.desk, (1, 3)), (VcsConfig.full, (17, 17))])
+def test_repeated_levels_of_instances_equal_a_memo_free_rebuild(config, rows, tmp_path):
+    template, plan = _bundle_plan(config(), rows, tmp_path)
+    budget = TimeoutBudget(None)
+    reused = 0
+    for task in plan.tasks:
+        graph = state_graph(instance_system(template, task, (15, 40)))
+        fresh = state_graph(instance_system(template, task, (15, 40)))
+        fresh._after = Forgetful()
+        levels = [graph.level(depth, budget) for depth in range(plan.bound + 1)]
+        assert levels == [fresh.level(depth, budget) for depth in range(plan.bound + 1)], \
+            task.model_id
+        reused += len(levels) - len(set(map(id, levels)))
+    assert reused > len(plan.tasks)
+
+
+def test_an_instance_shares_the_templates_step_memo(desk, desk6):
+    catalog, matrix, specs = desk6
+    task = plan_batch(catalog, matrix, specs, (3, 5, 3, 5)).tasks[0]
+    template = elaborate(parse_model(desk.model_text))
+    ts = instance_system(template, task, (15, 40))
+    assert ts.base is template
+    shared = [i for i, v in enumerate(template.variables) if ts.variables[i] is v]
+    replaced = [i for i in range(len(template.variables)) if i not in shared]
+    assert [ts.variables[i].name for i in replaced] == [task.axis_a.variable, task.axis_b.variable]
+    memo, base = step_memo(ts), step_memo(template)
+    assert len(memo) == len(template.variables) + 2
+    assert all(memo[i] is base[i] for i in shared)
+    assert not any(memo[i] is entry for i in replaced + [-2, -1] for entry in base)
+    # a replay of one instance fills the memo every other instance reads
+    simulate(ts, 20)
+    other = instance_system(template, plan_batch(catalog, matrix, specs, (4, 6, 4, 6)).tasks[0],
+                            (15, 40))
+    assert step_memo(other)[shared[0]][1] and step_memo(other)[shared[0]] is base[shared[0]]
 
 
 # --- batch execution ----------------------------------------------------------
@@ -658,6 +720,26 @@ def test_forked_workers_inherit_the_units(desk, desk6, tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "spec_formulas", lambda *args: [
         (name, _Unpicklable(formula)) for name, formula in spec_formulas(*args)])
     two = run_batch(plan, template, specs, out_dir=tmp_path / "w2", workers=2)
+    assert _without_timing(one) == _without_timing(two)
+
+
+def test_forked_workers_inherit_the_templates_analysis(desk, desk6, tmp_path, monkeypatch):
+    # the coordinator computes the template's constants before the fork:
+    # a worker that computed any fixpoint from scratch would file an ERROR
+    catalog, matrix, specs = desk6
+    plan = plan_batch(catalog, matrix, specs, (1, 1, 2, 2), bound=70)
+    one = run_batch(plan, elaborate(parse_model(desk.model_text)), specs,
+                    out_dir=tmp_path / "w1", workers=1)
+    coordinator, scratch = os.getpid(), deps._fixpoint
+
+    def here_only(ts):
+        if os.getpid() != coordinator:
+            raise AssertionError("a worker computed a fixpoint from scratch")
+        return scratch(ts)
+
+    monkeypatch.setattr(deps, "_fixpoint", here_only)
+    two = run_batch(plan, elaborate(parse_model(desk.model_text)), specs,
+                    out_dir=tmp_path / "w2", workers=2)
     assert _without_timing(one) == _without_timing(two)
 
 
