@@ -32,6 +32,7 @@ from .driver import (
     load_target_matrix, parse_spec_file, plan_batch, run_batch, write_report,
 )
 from .driver.catalog import FATAL
+from .driver.inject import placeholders
 from .lang import ParseError, parse_model
 from .ltl import PastEliminationError, PrefixVerdict, parse_ltl
 from .semantics import (
@@ -173,13 +174,9 @@ def cmd_batch(args) -> int:
     )
     probe_task = probe_plan.tasks[0]
     probe_ts = instance_system(ts, probe_task, window)
-    subst = {
-        "FAIL_A": probe_task.axis_a.variable,
-        "FAIL_B": probe_task.axis_b.variable if probe_task.axis_b else probe_task.axis_a.variable,
-        "TARGET_MODE": _probe_mode(matrix),
-        "WINDOW_LO": str(window[0]),
-        "WINDOW_HI": str(window[1]),
-    }
+    # a single fills no FAIL_B and a FATAL cell no TARGET_MODE: fall back
+    subst = {"FAIL_B": probe_task.axis_a.variable, "TARGET_MODE": _probe_mode(matrix),
+             **placeholders(probe_task, window)}
     specs = load_spec_catalog(structural, probe_ts, subst)
     for warning in specs.warnings:
         print(f"warning: {warning}", file=sys.stderr)

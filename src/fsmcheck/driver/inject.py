@@ -109,9 +109,9 @@ def instantiate_model(
     )
 
 
-def spec_formulas(task: PlannedTask, window: tuple[int, int],
-                  spec_catalog: SpecCatalog) -> tuple[tuple[str, str], ...]:
-    """(name, formula) of each spec of the task, placeholders substituted."""
+def placeholders(task: PlannedTask, window: tuple[int, int]) -> dict[str, str]:
+    """What the task substitutes for each spec placeholder it fills: FAIL_A
+    and the window always, FAIL_B for a double, TARGET_MODE unless FATAL."""
     substitutions = {
         "FAIL_A": task.axis_a.variable,
         "WINDOW_LO": str(window[0]),
@@ -121,6 +121,13 @@ def spec_formulas(task: PlannedTask, window: tuple[int, int],
         substitutions["FAIL_B"] = task.axis_b.variable
     if task.target is not None:
         substitutions["TARGET_MODE"] = task.target
+    return substitutions
+
+
+def spec_formulas(task: PlannedTask, window: tuple[int, int],
+                  spec_catalog: SpecCatalog) -> tuple[tuple[str, str], ...]:
+    """(name, formula) of each spec of the task, placeholders substituted."""
+    substitutions = placeholders(task, window)
     return tuple(
         (name, spec_catalog.get(name).instantiate(substitutions))
         for name in task.specs

@@ -3,28 +3,26 @@
 The unit of work is one (combination, spec) pair. The coordinator builds
 no instance: it checks that every task can be injected, substitutes each
 task's spec formulas, and hands out the units in report order (tasks by
-(row, col), specs in catalog order), one `check_unit` call each: in this
-process with one worker, else in W workers it forks itself once the
-template and the catalog's obligation stores are in memory. They inherit
-both, whatever start method `multiprocessing` defaults to, which nothing
-here imports. The specs of one combination go to one worker as a job (see
-`unit_jobs`), so its instance is built and explored once. A job is sent
-as its range of unit indices, two 8-byte ints: the worker inherited the
-units at the fork. A worker keeps the last instance it built, reads jobs
-from its job pipe, and has its running job and the next one queued there,
-so it never waits between jobs. A job pipe never holds more than those two
-16-byte jobs, so a write to it never blocks. Per unit the worker writes
-back a length-prefixed pickled `SpecResult` and trace text. A dead worker
-costs the unit it was running ("worker crashed: ..."): its unstarted units
-go back to the front of the queue, for a fresh worker. The results come
-back in unit order, so report content never depends on scheduling; the
-coordinator files the traces, one directory per combination. No worker
-outlives `run_batch`: at the end their job pipes close and they are
-reaped, on an error killed and reaped.
-
-Before any fork, `_init_worker` also computes what every instance derives
-from the template (its `base`): its sequential constants and the tree
-walker's memo, so the workers inherit them too.
+(row, col), specs in catalog order). A job is the units of one task (see
+`unit_jobs`), and `check_job` runs it: it builds the task's instance at
+the job's first unit, checks each unit on it with `check_unit`, and drops
+it when the job ends, so nothing here keeps an instance between jobs or
+batches. Jobs run in this process with one worker, else in W workers it
+forks itself once the template, what every instance derives from it (its
+sequential constants and the tree walker's memo) and the catalog's
+obligation stores are in memory. They inherit all of it, whatever start
+method `multiprocessing` defaults to, which nothing here imports. A job is
+sent as its range of unit indices, two 8-byte ints: the worker inherited
+the units at the fork. A worker reads jobs from its job pipe, and has its
+running job and the next one queued there, so it never waits between jobs.
+A job pipe never holds more than those two 16-byte jobs, so a write to it
+never blocks. Per unit the worker writes back a length-prefixed pickled
+`SpecResult` and trace text. A dead worker costs the unit it was running
+("worker crashed: ..."): its unstarted units go back to the front of the
+queue, for a fresh worker. The results come back in unit order, so report
+content never depends on scheduling; the coordinator files the traces, one
+directory per combination. No worker outlives `run_batch`: at the end
+their job pipes close and they are reaped, on an error killed and reaped.
 """
 from __future__ import annotations
 
@@ -36,7 +34,7 @@ from contextlib import closing
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import Iterator, Optional, TextIO
 
 from ..checker import (
     CheckTask, Counterexample, ModelError, NoCounterexampleWithinBound,
@@ -120,56 +118,48 @@ class BatchReport:
 
 # --- worker side -------------------------------------------------------------
 
-_template: Optional[TransitionSystem] = None
-_last: Optional[tuple[tuple, TransitionSystem]] = None  # ((task, window), instance)
+
+def check_job(template: TransitionSystem,
+              units: list[tuple]) -> Iterator[tuple[SpecResult, Optional[str]]]:
+    """The result and trace text of each unit of one task's job, in order;
+    never raises. The task's instance is built at the job's first unit, whose
+    `elapsed` includes the build, and kept for its other units; a build that
+    raises makes its unit an ERROR, and the next unit tries again. The
+    instance is dropped when the job ends."""
+    ts = None
+    for task, name, formula, window, bound, timeout in units:
+        started = time.perf_counter()
+        try:
+            if ts is None:
+                ts = instance_system(template, task, window)
+            result, trace = check_unit(ts, name, formula, bound, timeout)
+        except Exception as err:  # an ERROR verdict; the job and the batch go on
+            result, trace = SpecResult(name, "ERROR", detail=f"{type(err).__name__}: {err}"), None
+        yield replace(result, elapsed=time.perf_counter() - started), trace
 
 
-def _init_worker(template: TransitionSystem) -> None:
-    global _template, _last
-    _template = template
-    _last = None  # an instance of another template may share its key
-    sequential_constants(template)  # what every instance derives from it
-    step_memo(template)
-
-
-def _instance(task: PlannedTask, window: tuple[int, int]) -> TransitionSystem:
-    """The instance system of task, reused while the same task comes again."""
-    global _last
-    key = (task, window)
-    if _last is None or _last[0] != key:
-        _last = None  # drop the old instance before building the new one
-        _last = (key, instance_system(_template, task, window))
-    return _last[1]
-
-
-def check_unit(task: PlannedTask, name: str, formula: str, window: tuple[int, int],
-               bound: int, timeout: Optional[float]) -> tuple[SpecResult, Optional[str]]:
-    """Check one (combination, spec) unit; never raises. Returns the result
-    and the counterexample trace as text, if any; the coordinator files the
-    trace and fills in `trace_path`."""
-    started = time.perf_counter()
+def check_unit(ts: TransitionSystem, name: str, formula: str, bound: int,
+               timeout: Optional[float]) -> tuple[SpecResult, Optional[str]]:
+    """Check one spec formula on its task's instance ts. Returns the result,
+    without its elapsed time, and the counterexample trace as text, if any;
+    the coordinator files the trace and fills in `trace_path`."""
     verdict, step, detail, trace = "ERROR", None, "", None
-    try:
-        ts = _instance(task, window)
-        spec = parse_ltl(formula, ts)
-        found = check_bounded(CheckTask(ts, spec, bound_k=bound, timeout=timeout))
-        if isinstance(found, Counterexample):
-            replayed = replay_counterexample(ts, found.trace, spec)
-            if replayed is not PrefixVerdict.VIOLATED:
-                detail = f"counterexample failed replay: {replayed.value}"
-            else:
-                verdict, step = "VIOLATED", found.violation_step
-                trace = trace_to_text(found.trace)
-        elif isinstance(found, NoCounterexampleWithinBound):
-            verdict = "PASS" if found.all_paths_decided else "INCONCLUSIVE"
-        elif isinstance(found, Timeout):
-            verdict, detail = "TIMEOUT", f"budget exhausted after {found.elapsed:.2f}s"
-        elif isinstance(found, ModelError):
-            detail = f"model error at step {found.step}: {found.detail}"
-    except Exception as err:  # worker crash -> ERROR verdict, batch continues
-        detail = f"{type(err).__name__}: {err}"
-    elapsed = time.perf_counter() - started
-    return SpecResult(name, verdict, step, detail=detail, elapsed=elapsed), trace
+    spec = parse_ltl(formula, ts)
+    found = check_bounded(CheckTask(ts, spec, bound_k=bound, timeout=timeout))
+    if isinstance(found, Counterexample):
+        replayed = replay_counterexample(ts, found.trace, spec)
+        if replayed is not PrefixVerdict.VIOLATED:
+            detail = f"counterexample failed replay: {replayed.value}"
+        else:
+            verdict, step = "VIOLATED", found.violation_step
+            trace = trace_to_text(found.trace)
+    elif isinstance(found, NoCounterexampleWithinBound):
+        verdict = "PASS" if found.all_paths_decided else "INCONCLUSIVE"
+    elif isinstance(found, Timeout):
+        verdict, detail = "TIMEOUT", f"budget exhausted after {found.elapsed:.2f}s"
+    elif isinstance(found, ModelError):
+        detail = f"model error at step {found.step}: {found.detail}"
+    return SpecResult(name, verdict, step, detail=detail), trace
 
 
 # --- coordinator --------------------------------------------------------------
@@ -201,11 +191,14 @@ def run_batch(
                   for name, formula in spec_formulas(task, window, spec_catalog)]
 
     task_results = []
-    _init_worker(template)  # before any fork, so forked workers inherit it
+    # what every instance derives from the template, before any fork so workers inherit it
+    sequential_constants(template)
+    step_memo(template)
+    jobs = unit_jobs(tasks)
     if workers <= 1:
-        results = (check_unit(*unit) for unit in units)
+        results = (r for job in jobs for r in check_job(template, units[job]))
     else:
-        results = _run_forked(units, unit_jobs(tasks, workers), workers)
+        results = _run_forked(template, units, jobs, workers)
     with closing(results):  # on an error, a forked worker is killed and reaped
         for task in tasks:
             specs = []
@@ -234,16 +227,10 @@ def run_batch(
     )
 
 
-def unit_jobs(tasks: list[PlannedTask], workers: int) -> list[slice]:
-    """The units of tasks, in unit order, cut into jobs that each run on one
-    worker: a job is the units of one task. While there are fewer jobs than
-    workers, the largest is split in two, so a batch of one task still runs
-    in parallel."""
-    sizes = [len(t.specs) for t in tasks if t.specs]
-    while 0 < len(sizes) < workers and max(sizes) > 1:
-        i = sizes.index(max(sizes))
-        sizes[i:i + 1] = [sizes[i] - sizes[i] // 2, sizes[i] // 2]
-    ends = list(accumulate(sizes, initial=0))
+def unit_jobs(tasks: list[PlannedTask]) -> list[slice]:
+    """The units of tasks, in unit order, cut into jobs: a job is the units
+    of one task."""
+    ends = list(accumulate((len(t.specs) for t in tasks if t.specs), initial=0))
     return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
@@ -256,11 +243,15 @@ class _Worker:
         self.held: deque[range] = deque()  # its running job's unit indices, then the next's
 
 
-def _run_forked(units: list[tuple], jobs: list[slice], workers: int):
+def _run_forked(template: TransitionSystem, units: list[tuple], jobs: list[slice],
+                workers: int):
     """The results of units, in unit order, from workers forked here, which
-    inherit units and are sent each job as its range of unit indices. Each
-    holds its running job and the next; a dead one costs the unit it was
-    running, and its unstarted units go first to a fresh worker."""
+    inherit template and units and are sent each job as its range of unit
+    indices. A worker runs each job through `check_job`, so it builds one
+    instance per job and keeps none between jobs. Each holds its running job
+    and the next; a dead one costs the unit it was running, and its
+    unstarted units, the rest of its task first, go to a fresh worker, which
+    builds that task's instance again."""
     import pickle
     import select
     import signal
@@ -285,8 +276,8 @@ def _run_forked(units: list[tuple], jobs: list[slice], workers: int):
                 with open(jobs_r, "rb") as source, open(results_w, "wb") as sink:
                     while job := source.read(16):
                         start, stop = struct.unpack("<2q", job)
-                        for unit in units[start:stop]:
-                            data = pickle.dumps(check_unit(*unit), pickle.HIGHEST_PROTOCOL)
+                        for result in check_job(template, units[start:stop]):
+                            data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
                             sink.write(len(data).to_bytes(8, "little") + data)
                             sink.flush()
                 code = 0

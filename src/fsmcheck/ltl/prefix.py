@@ -66,7 +66,10 @@ def holds_on_prefix(f: F.Formula, trace: Trace) -> PrefixVerdict:
 
 
 def _eval(f: F.Formula, i: int, trace: Trace, memo: dict) -> PrefixVerdict:
-    key = (f, i)
+    # keyed by identity: hashing a frozen formula node hashes its whole
+    # subtree. f and its subformulas live for the whole holds_on_prefix
+    # call that owns memo, so no id is reused while memo is read.
+    key = (id(f), i)
     hit = memo.get(key)
     if hit is not None:
         return hit

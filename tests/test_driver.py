@@ -1,12 +1,14 @@
+import gc
 import itertools
 import json
 import os
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from fsmcheck.checker import CheckTask, NoCounterexampleWithinBound, check_bounded
+from fsmcheck.checker import CheckTask, ModelError, NoCounterexampleWithinBound, check_bounded
 from fsmcheck.checker import deps
 from fsmcheck.checker.core import TimeoutBudget, state_graph
 from fsmcheck.checker.deps import sequential_constants
@@ -20,7 +22,7 @@ from fsmcheck.driver import (
 from fsmcheck.driver.inject import spec_formulas
 from fsmcheck.driver import runner
 from fsmcheck.lang import parse_model, validate_model
-from fsmcheck.ltl import parse_ltl
+from fsmcheck.ltl import PrefixVerdict, parse_ltl
 from fsmcheck.semantics import elaborate, format_fexpr, simulate
 from fsmcheck.semantics.exec import eval_fexpr, step_kernel, step_memo
 from fsmcheck.vcs import VcsConfig, generate_vcs_model
@@ -528,7 +530,7 @@ def test_run_batch_rejects_before_dispatch(desk, desk6, tmp_path, monkeypatch):
     catalog, matrix, specs = desk6
     plan = plan_batch(catalog, matrix, specs, (1, 1, 2, 2), bound=70)
     dispatched = []
-    monkeypatch.setattr(runner, "check_unit", lambda *unit: dispatched.append(unit))
+    monkeypatch.setattr(runner, "check_job", lambda *job: dispatched.append(job))
     template = elaborate(parse_model(desk.model_text))
     with pytest.raises(InstantiationError, match="too small"):
         run_batch(plan, template, specs, out_dir=tmp_path / "out", window=(20, 20))
@@ -551,7 +553,7 @@ def test_run_batch_reports_hard_worker_crash(desk, desk6, tmp_path, monkeypatch)
     assert report.exit_code() == 2
 
 
-# --- the worker's instance cache ---------------------------------------------
+# --- a job's instance ---------------------------------------------------------
 
 
 def _without_timing(report):
@@ -612,20 +614,110 @@ def test_run_batch_drops_the_last_instance_of_another_template(desk, desk6, tmp_
     assert {s.verdict for s in fresh.tasks[0].specs} == {"PASS"}
 
 
+@pytest.fixture(scope="module")
+def mutant_band(tmp_path_factory):
+    """The mutant desk bundle's model text, its spec catalog and the plan of
+    cells (7,3) and (7,4), where about a third of the units violate."""
+    paths = generate_vcs_model(VcsConfig.desk(mutant="swapped-fallback-priority")).write(
+        tmp_path_factory.mktemp("mutant"))
+    catalog = load_failure_catalog(paths["failures"])
+    matrix = load_target_matrix(paths["matrix"], catalog)
+    specs = parse_spec_file(paths["specs"])
+    plan = plan_batch(catalog, matrix, specs, (7, 3, 7, 4), bound=70)
+    return paths["model"].read_text(), specs, plan
+
+
+def _band_report(mutant_band, out, **kw):
+    model_text, specs, plan = mutant_band
+    return run_batch(plan, elaborate(parse_model(model_text)), specs, out_dir=out, **kw)
+
+
+def test_a_batch_keeps_no_instance_after_it_returns(mutant_band, tmp_path, monkeypatch):
+    built = []
+
+    def recorded(*args):
+        ts = instance_system(*args)
+        built.append(weakref.ref(ts))
+        return ts
+
+    monkeypatch.setattr(runner, "instance_system", recorded)
+    report = _band_report(mutant_band, tmp_path, workers=1)
+    assert "VIOLATED" in {s.verdict for t in report.tasks for s in t.specs}
+    assert list(tmp_path.rglob("*.trace"))
+    gc.collect()
+    assert len(built) == len(report.tasks)
+    assert [ref() for ref in built] == [None] * len(built)
+
+
+# --- the details of non-PASS units --------------------------------------------
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_unit_out_of_budget_is_a_timeout(mutant_band, workers, tmp_path):
+    report = _band_report(mutant_band, tmp_path, workers=workers, timeout=1e-9)
+    units = [s for t in report.tasks for s in t.specs]
+    assert len(units) == sum(len(t.specs) for t in mutant_band[2].tasks)
+    for s in units:
+        assert s.verdict == "TIMEOUT" and s.detail.startswith("budget exhausted after "), s
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_counterexample_that_fails_replay_is_an_error(mutant_band, workers, tmp_path,
+                                                          monkeypatch):
+    want = _without_timing(_band_report(mutant_band, tmp_path / "w1", workers=1))
+    violated = {(t.model_id, s.name) for t in want for s in t.specs if s.verdict == "VIOLATED"}
+    assert violated
+    monkeypatch.setattr(runner, "replay_counterexample",
+                        lambda *args: PrefixVerdict.INCONCLUSIVE)
+    got = _without_timing(_band_report(mutant_band, tmp_path / "out", workers=workers))
+    for fresh, task in zip(want, got, strict=True):
+        for s, g in zip(fresh.specs, task.specs, strict=True):
+            if (task.model_id, s.name) in violated:
+                s = replace(s, verdict="ERROR", violation_step=None, trace_path=None,
+                            detail="counterexample failed replay: inconclusive")
+            assert g == s
+    assert not list((tmp_path / "out").rglob("*.trace"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_model_error_names_its_step(mutant_band, workers, tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "check_bounded", lambda task: ModelError(3, "boom"))
+    report = _band_report(mutant_band, tmp_path, workers=workers)
+    units = [s for t in report.tasks for s in t.specs]
+    assert units and all(
+        (s.verdict, s.detail) == ("ERROR", "model error at step 3: boom") for s in units)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_instance_that_cannot_be_built_errs_its_units(mutant_band, workers, tmp_path,
+                                                          monkeypatch):
+    want = _without_timing(_band_report(mutant_band, tmp_path / "w1", workers=1))
+    doomed = want[0].model_id
+
+    def refused(template, task, window):
+        if task.model_id == doomed:
+            raise ValueError(f"no instance of {task.model_id}")
+        return instance_system(template, task, window)
+
+    monkeypatch.setattr(runner, "instance_system", refused)
+    got = _without_timing(_band_report(mutant_band, tmp_path / "out", workers=workers))
+    assert got[1:] == want[1:]
+    assert got[0].model_id == doomed and len(got[0].specs) == len(want[0].specs)
+    for s in got[0].specs:
+        assert (s.verdict, s.detail) == ("ERROR", f"ValueError: no instance of {doomed}"), s
+
+
 # --- dispatch to two workers ---------------------------------------------------
 
 
 def test_unit_jobs_keep_each_task_on_one_worker(desk6):
     catalog, matrix, specs = desk6
     one = plan_batch(catalog, matrix, specs, (6, 3, 6, 3), bound=70).tasks
-    assert runner.unit_jobs(one, 1) == [slice(0, 6)]
-    # fewer tasks than workers: the largest job is split, so both work
-    assert runner.unit_jobs(one, 2) == [slice(0, 3), slice(3, 6)]
-    assert runner.unit_jobs(one, 4) == [slice(0, 2), slice(2, 3), slice(3, 5), slice(5, 6)]
+    assert runner.unit_jobs(one) == [slice(0, 6)]
     many = sorted(plan_batch(catalog, matrix, specs, (1, 1, 2, 2), bound=70).tasks,
                   key=lambda t: t.sort_key)
     assert len(many) > 2
-    jobs = runner.unit_jobs(many, 2)
+    jobs = runner.unit_jobs(many)
     assert [j.stop - j.start for j in jobs] == [len(t.specs) for t in many]
     assert [j.start for j in jobs[1:]] == [j.stop for j in jobs[:-1]]
 
