@@ -1,4 +1,3 @@
-from .brute import CapExceeded, brute_force_check
 from .core import (
     CheckTask, Counterexample, ModelError, NoCounterexampleWithinBound,
     Timeout, Verdict, check_bounded,
@@ -9,14 +8,12 @@ from .replay import InvalidTrace, replay_counterexample
 __all__ = [
     "CheckTask",
     "check_bounded",
-    "brute_force_check",
     "replay_counterexample",
     "Verdict",
     "NoCounterexampleWithinBound",
     "Counterexample",
     "ModelError",
     "Timeout",
-    "CapExceeded",
     "InvalidTrace",
     "dependency_graph",
     "format_dependency_report",

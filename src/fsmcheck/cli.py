@@ -18,12 +18,13 @@ nothing decidable.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
 
 from .checker import (
-    CheckTask, Counterexample, ModelError, NoCounterexampleWithinBound,
+    CheckTask, Counterexample, InvalidTrace, ModelError, NoCounterexampleWithinBound,
     Timeout, check_bounded, format_dependency_report, replay_counterexample,
 )
 from .driver import (
@@ -39,8 +40,17 @@ from .semantics import (
     ElaborationError, ModelStepError, elaborate, first_choice,
     seeded_random_chooser, simulate, trace_to_text,
 )
-from .vcs import VcsConfig, generate_vcs_model
-from .vcs.generate import MUTANTS
+from .vcs import MUTANTS
+
+
+def entry_point() -> int:
+    """The process's command: main's exit status. Once main has returned,
+    the collector is frozen, so that the collections of the interpreter's
+    exit skip everything the command built. main itself freezes nothing,
+    as tests and benchmarks call it in-process."""
+    status = main()
+    gc.freeze()
+    return status
 
 
 def main(argv=None) -> int:
@@ -143,6 +153,8 @@ def _load_system(path):
 
 
 def cmd_gen_vcs(args) -> int:
+    from .vcs.generate import VcsConfig, generate_vcs_model  # no other command needs it
+
     config = VcsConfig.full if args.full else VcsConfig.desk
     cfg = config(mutant=args.mutant)
     bundle = generate_vcs_model(cfg)
@@ -240,14 +252,17 @@ def cmd_check(args) -> int:
     verdict = check_bounded(CheckTask(ts, formula, bound_k=args.bound,
                                       timeout=args.timeout))
     if isinstance(verdict, Counterexample):
-        replayed = replay_counterexample(ts, verdict.trace, formula)
-        if replayed is not PrefixVerdict.VIOLATED:
+        try:
+            replayed = replay_counterexample(ts, verdict.trace, formula).value
+        except InvalidTrace as err:  # the trace is not a path of the model
+            replayed = str(err)
+        if replayed != PrefixVerdict.VIOLATED.value:
             # batch files the same case as an ERROR unit, with no trace
             print(f"ERROR: {name}: the counterexample at step {verdict.violation_step} "
-                  f"failed replay: {replayed.value}")
+                  f"failed replay: {replayed}")
             return 2
         print(f"VIOLATED: {name} at step {verdict.violation_step} "
-              f"(replay: {replayed.value})")
+              f"(replay: {replayed})")
         text_trace = trace_to_text(verdict.trace)
         if args.trace_out:
             Path(args.trace_out).write_text(text_trace)
@@ -281,4 +296,4 @@ def cmd_simulate(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry_point())

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Iterator, Optional, TextIO
 
 from ..checker import (
-    CheckTask, Counterexample, ModelError, NoCounterexampleWithinBound,
+    CheckTask, Counterexample, InvalidTrace, ModelError, NoCounterexampleWithinBound,
     Timeout, check_bounded, replay_counterexample,
 )
 from ..checker.deps import sequential_constants
@@ -147,9 +147,12 @@ def check_unit(ts: TransitionSystem, name: str, formula: str, bound: int,
     spec = parse_ltl(formula, ts)
     found = check_bounded(CheckTask(ts, spec, bound_k=bound, timeout=timeout))
     if isinstance(found, Counterexample):
-        replayed = replay_counterexample(ts, found.trace, spec)
-        if replayed is not PrefixVerdict.VIOLATED:
-            detail = f"counterexample failed replay: {replayed.value}"
+        try:
+            replayed = replay_counterexample(ts, found.trace, spec).value
+        except InvalidTrace as err:  # the trace is not a path of ts
+            replayed = str(err)
+        if replayed != PrefixVerdict.VIOLATED.value:
+            detail = f"counterexample failed replay: {replayed}"
         else:
             verdict, step = "VIOLATED", found.violation_step
             trace = trace_to_text(found.trace)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     line: int
     col: int
@@ -27,12 +27,12 @@ def _span_field():
 # --- expressions -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expr:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Name(Expr):
     """Plain or dotted reference: parts ("x",) or ("Global", "T1_MAX")."""
 
@@ -44,26 +44,26 @@ class Name(Expr):
         return ".".join(self.parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolLit(Expr):
     value: bool
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntLit(Expr):
     value: int
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unary(Expr):
     op: str  # "!" or "-"
     operand: Expr
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binary(Expr):
     op: str  # & | -> = != < <= > >= + -
     left: Expr
@@ -71,20 +71,20 @@ class Binary(Expr):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseArm:
     guard: Expr
     result: Expr
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Case(Expr):
     arms: tuple[CaseArm, ...]
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetLit(Expr):
     """Nondeterministic choice {e1, ..., en}; legal only on rule right sides."""
 
@@ -95,23 +95,23 @@ class SetLit(Expr):
 # --- types -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarType:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolType(VarType):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnumType(VarType):
     symbols: tuple[str, ...]
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RangeType(VarType):
     """lo..hi; bounds are constant expressions (ints or dotted defines)."""
 
@@ -123,14 +123,14 @@ class RangeType(VarType):
 # --- declarations ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarDecl:
     name: str
     vartype: VarType
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceDecl:
     name: str
     module: str
@@ -138,14 +138,14 @@ class InstanceDecl:
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DefineDecl:
     name: str
     expr: Expr
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssignRule:
     kind: str  # "init" or "next"
     target: str
@@ -153,7 +153,7 @@ class AssignRule:
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModuleDecl:
     name: str
     params: tuple[str, ...]
@@ -164,7 +164,7 @@ class ModuleDecl:
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelAst:
     modules: tuple[ModuleDecl, ...]
 

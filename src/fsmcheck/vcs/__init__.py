@@ -1,7 +1,5 @@
-from .generate import (
-    VcsConfig, axis_entries, channel_of, generate_vcs_model, signals,
-)
+"""The vehicle-control demo bundle. Its generator is `vcs.generate`, which
+the CLI imports for `gen-vcs` only; the mutant names live here, for the
+choices of `gen-vcs --mutant`."""
 
-__all__ = [
-    "VcsConfig", "generate_vcs_model", "axis_entries", "signals", "channel_of",
-]
+MUTANTS = ("none", "swapped-fallback-priority")

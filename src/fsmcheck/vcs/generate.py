@@ -40,8 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import MUTANTS
+
 MODES = ("Startup", "Normal", "FallbackA", "FallbackB", "FallbackC", "SafeStop")
-MUTANTS = ("none", "swapped-fallback-priority")
 
 
 # Timing of the generated design, in steps: the debounce window of a comm

@@ -9,6 +9,7 @@ from fsmcheck.checker.core import (
     BOT, TOP, Counterexample, ModelError, NoCounterexampleWithinBound, Poison, TimeoutBudget,
 )
 from fsmcheck.lang import ast
+from fsmcheck.lang.lexer import _PUNCT, KEYWORDS, ParseError, Token
 from fsmcheck.semantics import IntDomain, State, Trace, first_choice
 from fsmcheck.semantics.exec import ModelStepError, eval_fexpr
 
@@ -350,6 +351,63 @@ def random_constant_model(rng: random.Random) -> tuple[str, set[str], set[str]]:
     lines = ["MODULE main", "VAR"] + [f"  {d}" for d in decls] + ["ASSIGN"]
     lines += [f"  {r}" for r in rules]
     return "\n".join(lines) + "\n", {"k", "c", "p", "q"}, unpinned
+
+
+# --- a reference tokenizer ----------------------------------------------------
+
+
+def per_character_tokenize(text: str) -> list[Token]:
+    """The tokens of text by a loop over its characters, classified by the
+    str predicates: the reference that `lexer.tokenize`'s regular expression
+    must match, token for token and error for error."""
+    tokens: list[Token] = []
+    pos = 0
+    line = 1
+    col = 1
+    n = len(text)
+    while pos < n:
+        ch = text[pos]
+        if ch == "\n":
+            pos += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            pos += 1
+            col += 1
+            continue
+        if ch == "-" and pos + 1 < n and text[pos + 1] == "-":
+            while pos < n and text[pos] != "\n":
+                pos += 1
+            continue
+        if ch.isdigit():
+            start = pos
+            start_col = col
+            while pos < n and text[pos].isdigit():
+                pos += 1
+                col += 1
+            tokens.append(Token("INT", text[start:pos], line, start_col))
+            continue
+        if ch.isalpha() or ch == "_":
+            start = pos
+            start_col = col
+            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
+                pos += 1
+                col += 1
+            word = text[start:pos]
+            kind = word if word in KEYWORDS else "IDENT"
+            tokens.append(Token(kind, word, line, start_col))
+            continue
+        for lit, kind in _PUNCT:
+            if text.startswith(lit, pos):
+                tokens.append(Token(kind, lit, line, col))
+                pos += len(lit)
+                col += len(lit)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("EOF", "", line, col))
+    return tokens
 
 
 # --- a reference search at bounds the oracle cannot reach ---------------------

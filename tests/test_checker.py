@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsmcheck.checker import (
-    CapExceeded, CheckTask, Counterexample, InvalidTrace, ModelError,
-    NoCounterexampleWithinBound, Timeout, brute_force_check, check_bounded,
-    dependency_graph, replay_counterexample,
+    CheckTask, Counterexample, InvalidTrace, ModelError, NoCounterexampleWithinBound,
+    Timeout, check_bounded, dependency_graph, replay_counterexample,
 )
+from fsmcheck.checker.brute import CapExceeded, brute_force_check
 from fsmcheck.lang import parse_model, validate_model
 from fsmcheck.ltl import PrefixVerdict, parse_ltl
 from fsmcheck.checker import core

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -8,12 +9,15 @@ from unittest.mock import patch
 import pytest
 
 import fsmcheck
+from fsmcheck import cli
+from fsmcheck.checker import Counterexample
 from fsmcheck.cli import main
 from fsmcheck.driver import (
     load_failure_catalog, load_target_matrix, parse_spec_file, plan_batch,
 )
 from fsmcheck.ltl import PrefixVerdict
-from fsmcheck.vcs import VcsConfig, generate_vcs_model
+from fsmcheck.semantics import State, Trace
+from fsmcheck.vcs.generate import VcsConfig, generate_vcs_model
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +30,20 @@ def bundle_dir(tmp_path_factory):
 def test_gen_vcs_writes_four_files(bundle_dir):
     names = {p.name for p in bundle_dir.iterdir()}
     assert names == {"vcs.fsm", "failures.csv", "target_modes.csv", "specs.ltl"}
+
+
+def test_only_the_process_entry_point_freezes_the_collector(bundle_dir, capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["simulate", str(bundle_dir / "vcs.fsm"), "--steps", "2"]) == 0
+    assert gc.get_freeze_count() == frozen
+    capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(Path(fsmcheck.__file__).resolve().parents[1]))
+    code = ("import gc, sys; from fsmcheck import cli; "
+            f"sys.argv = ['fsmcheck', 'simulate', {str(bundle_dir / 'vcs.fsm')!r}, '--steps', '2']; "
+            "status = cli.entry_point(); print(status, gc.get_freeze_count() > 0)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 True"
 
 
 def test_simulate_cli(bundle_dir, capsys):
@@ -81,6 +99,27 @@ def test_check_counterexample_that_fails_replay_is_an_error(bundle_dir, capsys, 
     assert out == ("ERROR: <command line>: the counterexample at step 15 "
                    "failed replay: inconclusive\n")
     assert not trace_file.exists()
+
+
+def test_check_counterexample_off_the_transition_relation_is_an_error(tmp_path, capsys,
+                                                                      monkeypatch):
+    # a faulty checker's counterexample along x = 0, 2, 3 skips a step
+    model = tmp_path / "counter.fsm"
+    model.write_text("MODULE main\nVAR x : 0..3;\nASSIGN\n  init(x) := 0;\n"
+                     "  next(x) := case x < 3 : x + 1; TRUE : x; esac;\n")
+
+    def forged(task):
+        trace = Trace(tuple(State((x,), task.ts) for x in (0, 2, 3)))
+        return Counterexample(trace, task.formula, 2)
+
+    monkeypatch.setattr(cli, "check_bounded", forged)
+    code = main(["check", str(model), "--formula", "G x < 3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ("ERROR: <command line>: the counterexample at step 2 failed "
+                            "replay: states 0 -> 1 are not in the transition relation\n")
+    assert captured.err == ""
+
 
 def test_check_print_deps(bundle_dir, capsys):
     code = main([

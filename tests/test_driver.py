@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from fsmcheck.checker import CheckTask, ModelError, NoCounterexampleWithinBound, check_bounded
+from fsmcheck.checker import (
+    CheckTask, Counterexample, ModelError, NoCounterexampleWithinBound, check_bounded,
+)
 from fsmcheck.checker import deps
 from fsmcheck.checker.core import TimeoutBudget, state_graph
 from fsmcheck.checker.deps import sequential_constants
@@ -23,9 +25,9 @@ from fsmcheck.driver.inject import spec_formulas
 from fsmcheck.driver import runner
 from fsmcheck.lang import parse_model, validate_model
 from fsmcheck.ltl import PrefixVerdict, parse_ltl
-from fsmcheck.semantics import elaborate, format_fexpr, simulate
+from fsmcheck.semantics import Trace, elaborate, format_fexpr, simulate
 from fsmcheck.semantics.exec import eval_fexpr, step_kernel, step_memo
-from fsmcheck.vcs import VcsConfig, generate_vcs_model
+from fsmcheck.vcs.generate import VcsConfig, generate_vcs_model
 
 from helpers import FIXTURES, Forgetful, scripted_chooser
 
@@ -675,6 +677,33 @@ def test_a_counterexample_that_fails_replay_is_an_error(mutant_band, workers, tm
             if (task.model_id, s.name) in violated:
                 s = replace(s, verdict="ERROR", violation_step=None, trace_path=None,
                             detail="counterexample failed replay: inconclusive")
+            assert g == s
+    assert not list((tmp_path / "out").rglob("*.trace"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_counterexample_off_the_transition_relation_is_an_error(mutant_band, workers,
+                                                                  tmp_path, monkeypatch):
+    # a faulty checker's counterexample that skips the step after the initial state
+    want = _without_timing(_band_report(mutant_band, tmp_path / "w1", workers=1))
+    violated = {(t.model_id, s.name) for t in want for s in t.specs if s.verdict == "VIOLATED"}
+    assert violated
+
+    def forged(task):
+        found = check_bounded(task)
+        if isinstance(found, Counterexample):
+            states = found.trace.states
+            found = replace(found, trace=Trace(states[:1] + states[2:]))
+        return found
+
+    monkeypatch.setattr(runner, "check_bounded", forged)
+    got = _without_timing(_band_report(mutant_band, tmp_path / "out", workers=workers))
+    for fresh, task in zip(want, got, strict=True):
+        for s, g in zip(fresh.specs, task.specs, strict=True):
+            if (task.model_id, s.name) in violated:
+                s = replace(s, verdict="ERROR", violation_step=None, trace_path=None,
+                            detail="counterexample failed replay: "
+                                   "states 0 -> 1 are not in the transition relation")
             assert g == s
     assert not list((tmp_path / "out").rglob("*.trace"))
 

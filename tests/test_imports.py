@@ -37,6 +37,16 @@ def test_cli_leaves_the_pool_modules_unloaded():
     assert done.stdout.split() == []
 
 
+def test_cli_leaves_the_generator_and_the_oracle_unloaded():
+    # only gen-vcs generates a bundle, and only the tests run the oracle
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code = ("import sys, fsmcheck.cli; print(' '.join(m for m in ('fsmcheck.vcs.generate', "
+            "'fsmcheck.checker.brute') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
 def test_a_two_worker_batch_loads_no_pool_module(tmp_path):
     # the batch forks its workers itself
     env = dict(os.environ, PYTHONPATH=SRC)

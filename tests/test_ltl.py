@@ -4,8 +4,9 @@ import pytest
 
 from fsmcheck.lang import ParseError, parse_model, validate_model
 from fsmcheck.checker import (
-    CheckTask, Counterexample, NoCounterexampleWithinBound, brute_force_check, check_bounded,
+    CheckTask, Counterexample, NoCounterexampleWithinBound, check_bounded,
 )
+from fsmcheck.checker.brute import brute_force_check
 from fsmcheck.checker.core import obligation_store
 from fsmcheck.ltl import (
     PastEliminationError, PrefixVerdict, format_formula, has_unbounded, holds_on_prefix,

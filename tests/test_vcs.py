@@ -8,10 +8,9 @@ from fsmcheck.driver import (
 from fsmcheck.lang import parse_model, validate_model
 from fsmcheck.ltl import parse_ltl
 from fsmcheck.semantics import elaborate, simulate
-from fsmcheck.vcs import (
-    VcsConfig, axis_entries, channel_of, generate_vcs_model, signals,
+from fsmcheck.vcs.generate import (
+    REACH_WINDOW, VcsConfig, axis_entries, channel_of, generate_vcs_model, signals,
 )
-from fsmcheck.vcs.generate import REACH_WINDOW
 
 from helpers import scripted_chooser
 
