@@ -2,7 +2,7 @@
 
 The unit of work is one (combination, spec) pair. The coordinator builds
 no instance: it checks that every task can be injected, substitutes each
-task's spec formulas, and hands out the units in report order (tasks by
+task's spec formulas, and lists the units in report order (tasks by
 (row, col), specs in catalog order). A job is the units of one task (see
 `unit_jobs`), and `check_job` runs it: it builds the task's instance at
 the job's first unit, checks each unit on it with `check_unit`, and drops
@@ -11,18 +11,15 @@ batches. Jobs run in this process with one worker, else in W workers it
 forks itself once the template, what every instance derives from it (its
 sequential constants and the tree walker's memo) and the catalog's
 obligation stores are in memory. They inherit all of it, whatever start
-method `multiprocessing` defaults to, which nothing here imports. A job is
-sent as its range of unit indices, two 8-byte ints: the worker inherited
-the units at the fork. A worker reads jobs from its job pipe, and has its
-running job and the next one queued there, so it never waits between jobs.
-A job pipe never holds more than those two 16-byte jobs, so a write to it
-never blocks. Per unit the worker writes back a length-prefixed pickled
+method `multiprocessing` defaults to, which nothing here imports, and each
+inherits its share of the jobs, every W-th: the coordinator sends a worker
+nothing. Per unit the worker writes back a length-prefixed pickled
 `SpecResult` and trace text. A dead worker costs the unit it was running
-("worker crashed: ..."): its unstarted units go back to the front of the
-queue, for a fresh worker. The results come back in unit order, so report
-content never depends on scheduling; the coordinator files the traces, one
-directory per combination. No worker outlives `run_batch`: at the end
-their job pipes close and they are reaped, on an error killed and reaped.
+("worker crashed: ..."): the rest of its share goes to a fresh worker. The
+results come back in unit order, so report content never depends on
+scheduling; the coordinator files the traces, one directory per
+combination. No worker outlives `run_batch`: each is reaped once its
+share's results are in, on an error killed and reaped.
 """
 from __future__ import annotations
 
@@ -199,7 +196,7 @@ def run_batch(
     step_memo(template)
     jobs = unit_jobs(tasks)
     if workers <= 1:
-        results = (r for job in jobs for r in check_job(template, units[job]))
+        results = (r for job in jobs for r in check_job(template, units[job.start:job.stop]))
     else:
         results = _run_forked(template, units, jobs, workers)
     with closing(results):  # on an error, a forked worker is killed and reaped
@@ -230,42 +227,45 @@ def run_batch(
     )
 
 
-def unit_jobs(tasks: list[PlannedTask]) -> list[slice]:
-    """The units of tasks, in unit order, cut into jobs: a job is the units
-    of one task."""
+def unit_jobs(tasks: list[PlannedTask]) -> list[range]:
+    """The units of tasks, in unit order, cut into jobs: a job is the range
+    of unit indices of one task."""
     ends = list(accumulate((len(t.specs) for t in tasks if t.specs), initial=0))
-    return [slice(a, b) for a, b in zip(ends, ends[1:])]
+    return [range(a, b) for a, b in zip(ends, ends[1:])]
 
 
 class _Worker:
     """A forked worker, as the coordinator sees it."""
 
-    def __init__(self, pid: int, jobs: int, results: int):
-        self.pid, self.jobs, self.results = pid, jobs, results
+    def __init__(self, pid: int, results: int, share: list[range]):
+        self.pid, self.results = pid, results
         self.buf = bytearray()  # bytes from its result pipe not yet unpickled
-        self.held: deque[range] = deque()  # its running job's unit indices, then the next's
+        self.held = deque(share)  # its share's jobs, cut to the units whose results are not in
 
 
-def _run_forked(template: TransitionSystem, units: list[tuple], jobs: list[slice],
+def _run_forked(template: TransitionSystem, units: list[tuple], jobs: list[range],
                 workers: int):
-    """The results of units, in unit order, from workers forked here, which
-    inherit template and units and are sent each job as its range of unit
-    indices. A worker runs each job through `check_job`, so it builds one
-    instance per job and keeps none between jobs. Each holds its running job
-    and the next; a dead one costs the unit it was running, and its
-    unstarted units, the rest of its task first, go to a fresh worker, which
-    builds that task's instance again."""
+    """The results of units, in unit order, from W workers forked here.
+    Worker k inherits template, units and its share of the jobs, jobs k,
+    k + W, k + 2W, ..., and is sent nothing: it runs each job of its share
+    through `check_job`, so it builds one instance per job and keeps none
+    between jobs, and writes each unit's result to its own pipe, in share
+    order. A worker is reaped once its share's last result is read. A dead
+    one costs the unit it was running, and the rest of its share, the rest
+    of its task first, goes to one fresh worker, which builds that task's
+    instance again. The deal is fixed: a unit that runs to its timeout
+    (900 s by default in the CLI) holds up the rest of its worker's share,
+    which handing jobs out as workers free up could have given to an idle
+    worker. No workload has shown that case: every task costs about the
+    same on them."""
     import pickle
     import select
     import signal
-    import struct
 
-    queue = deque(range(job.start, job.stop) for job in jobs)
     live: dict[int, _Worker] = {}  # result pipe -> its worker
     got: dict[int, tuple] = {}     # unit index -> its result, until yielded
 
-    def fork() -> _Worker:
-        jobs_r, jobs_w = os.pipe()
+    def fork(share: list[range]) -> None:
         results_r, results_w = os.pipe()
         sys.stdout.flush()
         sys.stderr.flush()
@@ -273,38 +273,24 @@ def _run_forked(template: TransitionSystem, units: list[tuple], jobs: list[slice
         if pid == 0:
             code = 1
             try:  # a worker leaves only through os._exit: never into the caller's frames
-                inherited = (fd for w in live.values() for fd in (w.jobs, w.results))
-                for fd in (jobs_w, results_r, *inherited):
-                    os.close(fd)  # so each job pipe ends when the coordinator closes it
-                with open(jobs_r, "rb") as source, open(results_w, "wb") as sink:
-                    while job := source.read(16):
-                        start, stop = struct.unpack("<2q", job)
-                        for result in check_job(template, units[start:stop]):
+                for fd in (results_r, *live):
+                    os.close(fd)  # so a write to a result pipe fails once the coordinator is gone
+                with open(results_w, "wb") as sink:
+                    for job in share:
+                        for result in check_job(template, units[job.start:job.stop]):
                             data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
                             sink.write(len(data).to_bytes(8, "little") + data)
                             sink.flush()
                 code = 0
             finally:
                 os._exit(code)
-        os.close(jobs_r)
         os.close(results_w)
-        live[results_r] = _Worker(pid, jobs_w, results_r)
-        return live[results_r]
-
-    def give(w: _Worker) -> None:
-        if queue:
-            job = queue.popleft()
-            w.held.append(job)
-            try:  # 16 bytes into a pipe that holds at most two jobs: never blocks
-                os.write(w.jobs, struct.pack("<2q", job.start, job.stop))
-            except BrokenPipeError:
-                pass  # its worker died: its result pipe tells
+        live[results_r] = _Worker(pid, results_r, share)
 
     def reap(w: _Worker, kill: bool = False) -> int:
         del live[w.results]
         if kill:
             os.kill(w.pid, signal.SIGKILL)
-        os.close(w.jobs)  # unless killed, it leaves when its job pipe ends
         os.close(w.results)
         return os.waitstatus_to_exitcode(os.waitpid(w.pid, 0)[1])
 
@@ -313,34 +299,30 @@ def _run_forked(template: TransitionSystem, units: list[tuple], jobs: list[slice
         if chunk:
             w.buf += chunk
             while len(w.buf) >= 8 + (size := int.from_bytes(w.buf[:8], "little")):
-                job = w.held.popleft()
+                job = w.held[0]
                 got[job[0]] = pickle.loads(w.buf[8:8 + size])
                 del w.buf[:8 + size]
                 if len(job) > 1:
-                    w.held.appendleft(job[1:])
+                    w.held[0] = job[1:]
                 else:
-                    give(w)
+                    w.held.popleft()
+            if not w.held:  # its share is done
+                reap(w)
             return
         code = reap(w)
-        if w.held:
-            job = w.held.popleft()
-            why = f"exit status {code}" if code >= 0 else f"signal {-code} ({signal.strsignal(-code)})"
-            got[job[0]] = SpecResult(units[job[0]][1], "ERROR", detail=f"worker crashed: {why}"), None
-            queue.extendleft(reversed([j for j in (job[1:], *w.held) if j]))
-        if queue:
-            for fresh in [fork()] * 2:
-                give(fresh)
+        job = w.held.popleft()
+        why = f"exit status {code}" if code >= 0 else f"signal {-code} ({signal.strsignal(-code)})"
+        got[job[0]] = SpecResult(units[job[0]][1], "ERROR", detail=f"worker crashed: {why}"), None
+        if rest := [j for j in (job[1:], *w.held) if j]:
+            fork(rest)
 
     try:
-        for w in [fork() for _ in range(min(workers, len(jobs)))] * 2:
-            give(w)  # every worker's first job, then the ones queued ahead
+        for k in range(min(workers, len(jobs))):
+            fork(jobs[k::workers])
         for i in range(len(units)):
             while i not in got:
                 for fd in select.select(list(live), [], [])[0]:
                     receive(live[fd])
-            if i == len(units) - 1:  # every result is in
-                for w in list(live.values()):
-                    reap(w)
             yield got.pop(i)
     finally:
         for w in list(live.values()):

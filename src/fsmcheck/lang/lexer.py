@@ -6,12 +6,9 @@ a word, or a punctuation literal, longest first. A token is a `Token`, a
 4-tuple (kind, value, line, col) with no per-instance dict; columns count
 code points from 1.
 
-Unicode rule: a token is classified as by the str predicates. A word starts
-with a character that isalpha() or "_", and goes on while isalnum() or "_",
-which is exactly `\w`; an integer is a run of isdigit() characters. As
-`\d` misses some isdigit() characters (U+00B2, for one) and `[^\W\d_]`
-takes some that are not isalpha() (U+00BD, for one), `_SCAN` matches only
-tokens that start in ASCII, and `_by_predicates` classifies the rest.
+Integers and words are ASCII-only, as in NuSMV: an integer is `[0-9]+`
+and a word is `[A-Za-z_][A-Za-z0-9_]*`. Any other character outside a
+comment is a ParseError at its line and column.
 """
 from __future__ import annotations
 
@@ -77,15 +74,12 @@ class Token(NamedTuple):
         return Span(self.line, self.col, self.line, self.col + max(len(self.value), 1))
 
 
-# A token whose first character is not ASCII matches nothing; neither does
-# an ASCII digit run that a non-ASCII character follows, which isdigit() may
-# extend. The punctuation literals are listed longest first.
+# The punctuation literals are listed longest first.
 _SCAN = re.compile(
-    r"[ \t\r]*(?:(\n)|--[^\n]*|([0-9]+)(?![0-9]|[^\x00-\x7f])|([A-Za-z_]\w*|"
+    r"[ \t\r]*(?:(\n)|--[^\n]*|([0-9]+)|([A-Za-z_][A-Za-z0-9_]*|"
     + "|".join(re.escape(lit) for lit, _ in _PUNCT) + r")|\Z)"
 )
 _KINDS = {**{lit: kind for lit, kind in _PUNCT}, **{word: word for word in KEYWORDS}}
-_WORD_TAIL = re.compile(r"\w*")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -99,10 +93,10 @@ def tokenize(text: str) -> list[Token]:
     n = len(text)
     while pos < n:
         m = scan(text, pos)
-        if m is None:
-            pos, token = _by_predicates(text, pos, line, line_start)
-            append(token)
-            continue
+        if m is None:  # past the blanks, a character that starts no token
+            while text[pos] in " \t\r":
+                pos += 1
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
         group = m.lastindex
         if group == 3:
             value = m.group(3)
@@ -119,24 +113,6 @@ def tokenize(text: str) -> list[Token]:
     col = (comment if comment >= 0 else n) - line_start + 1
     append(Token("EOF", "", line, col))
     return tokens
-
-
-def _by_predicates(text: str, pos: int, line: int, line_start: int) -> tuple[int, Token]:
-    """The end and the token at or past blanks from pos, for the tokens that
-    `_SCAN` leaves, by the str predicates (see the module's Unicode rule)."""
-    while text[pos] in " \t\r":
-        pos += 1
-    ch = text[pos]
-    col = pos - line_start + 1
-    end = pos + 1
-    if ch.isdigit():
-        while end < len(text) and text[end].isdigit():
-            end += 1
-        return end, Token("INT", text[pos:end], line, col)
-    if ch.isalpha():  # no keyword starts outside ASCII
-        end = _WORD_TAIL.match(text, end).end()
-        return end, Token("IDENT", text[pos:end], line, col)
-    raise ParseError(f"unexpected character {ch!r}", line, col)
 
 
 class TokenStream:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import string
 from pathlib import Path
 
 from fsmcheck.checker import core
@@ -356,10 +357,15 @@ def random_constant_model(rng: random.Random) -> tuple[str, set[str], set[str]]:
 # --- a reference tokenizer ----------------------------------------------------
 
 
+_DIGITS = frozenset(string.digits)
+_WORD_START = frozenset(string.ascii_letters + "_")
+_WORD_PART = _WORD_START | _DIGITS
+
+
 def per_character_tokenize(text: str) -> list[Token]:
-    """The tokens of text by a loop over its characters, classified by the
-    str predicates: the reference that `lexer.tokenize`'s regular expression
-    must match, token for token and error for error."""
+    """The tokens of text by a loop over its characters, ASCII-only in
+    integers and words: the reference that `lexer.tokenize`'s regular
+    expression must match, token for token and error for error."""
     tokens: list[Token] = []
     pos = 0
     line = 1
@@ -380,18 +386,18 @@ def per_character_tokenize(text: str) -> list[Token]:
             while pos < n and text[pos] != "\n":
                 pos += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = pos
             start_col = col
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos] in _DIGITS:
                 pos += 1
                 col += 1
             tokens.append(Token("INT", text[start:pos], line, start_col))
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _WORD_START:
             start = pos
             start_col = col
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
+            while pos < n and text[pos] in _WORD_PART:
                 pos += 1
                 col += 1
             word = text[start:pos]

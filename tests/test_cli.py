@@ -304,6 +304,23 @@ def test_check_rejects_bad_model(tmp_path, capsys):
     assert code == 2
 
 
+def test_a_non_ascii_digit_is_an_input_error(tmp_path, capsys):
+    # str.isdigit() takes '²', which int() rejects; the lexer reads ASCII digits only
+    model = tmp_path / "m.fsm"
+    model.write_text("MODULE main\nVAR\n  b : boolean;\nASSIGN\n  init(b) := FALSE;\n")
+    bad = tmp_path / "bad.fsm"
+    bad.write_text("MODULE main\nVAR\n  x : 0..²;\n")
+    for argv, where in (
+        (["check", str(bad), "--formula", "TRUE"], "line 3, column 10"),
+        (["check", str(model), "--formula", "G[0,²] !b"], "line 1, column 5"),
+    ):
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2, argv
+        assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+        assert f"{where}: unexpected character '²'" in err[0], (argv, err)
+
+
 def test_input_errors_exit_two_without_traceback(bundle_dir, tmp_path, capsys):
     batch = [
         "batch",

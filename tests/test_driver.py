@@ -742,25 +742,35 @@ def test_an_instance_that_cannot_be_built_errs_its_units(mutant_band, workers, t
 def test_unit_jobs_keep_each_task_on_one_worker(desk6):
     catalog, matrix, specs = desk6
     one = plan_batch(catalog, matrix, specs, (6, 3, 6, 3), bound=70).tasks
-    assert runner.unit_jobs(one) == [slice(0, 6)]
+    assert runner.unit_jobs(one) == [range(0, 6)]
     many = sorted(plan_batch(catalog, matrix, specs, (1, 1, 2, 2), bound=70).tasks,
                   key=lambda t: t.sort_key)
     assert len(many) > 2
     jobs = runner.unit_jobs(many)
-    assert [j.stop - j.start for j in jobs] == [len(t.specs) for t in many]
+    assert [len(j) for j in jobs] == [len(t.specs) for t in many]
     assert [j.start for j in jobs[1:]] == [j.stop for j in jobs[:-1]]
 
 
 def _logging_instance_system(log: Path, crash_on: str = ""):
-    """instance_system, writing each model id it builds to log; the forked
-    workers inherit it. It ends its process when it builds crash_on."""
+    """instance_system, writing the process id and the model id of each
+    instance it builds to log; the forked workers inherit it. It ends its
+    process when it builds crash_on."""
     def built(*args):
         with open(log, "a") as f:
-            f.write(args[1].model_id + "\n")
+            f.write(f"{os.getpid()} {args[1].model_id}\n")
         if args[1].model_id == crash_on:
             os._exit(1)
         return instance_system(*args)
     return built
+
+
+def _builds(log: Path) -> dict[int, list[str]]:
+    """The model ids each process built, in the order it built them."""
+    builds: dict[int, list[str]] = {}
+    for line in log.read_text().splitlines():
+        pid, model_id = line.split()
+        builds.setdefault(int(pid), []).append(model_id)
+    return builds
 
 
 def test_a_crash_costs_only_the_unit_it_ran(desk, desk6, tmp_path, monkeypatch):
@@ -768,9 +778,9 @@ def test_a_crash_costs_only_the_unit_it_ran(desk, desk6, tmp_path, monkeypatch):
     plan = plan_batch(catalog, matrix, specs, (1, 1, 2, 2), bound=70)
     template = elaborate(parse_model(desk.model_text))
     one = run_batch(plan, template, specs, out_dir=tmp_path / "w1", workers=1)
-    # jobs go out one per worker, then one more each: the first worker runs
-    # the first task with the third queued behind it. It dies in the first
-    # task's fifth spec, before the sixth and before the third task.
+    # the first of two workers has the first and the third task as its
+    # share. It dies in the first task's fifth spec, before the sixth and
+    # before the third task.
     first = sorted(plan.tasks, key=lambda t: t.sort_key)[0]
     name, doomed = spec_formulas(first, (15, 40), specs)[4]
     assert [f for t in plan.tasks for _, f in spec_formulas(t, (15, 40), specs)].count(doomed) == 1
@@ -789,6 +799,64 @@ def test_a_crash_costs_only_the_unit_it_ran(desk, desk6, tmp_path, monkeypatch):
             else:
                 assert got == want
         assert replace(task, specs=()) == replace(fresh, specs=())
+
+
+def test_the_coordinator_writes_nothing_to_a_worker(desk, desk6, tmp_path, monkeypatch):
+    catalog, matrix, specs = desk6
+    plan = plan_batch(catalog, matrix, specs, (1, 1, 2, 2), bound=70)
+    template = elaborate(parse_model(desk.model_text))
+    one = run_batch(plan, template, specs, out_dir=tmp_path / "w1", workers=1)
+    coordinator, write = os.getpid(), os.write
+
+    def refused(fd, data):
+        if os.getpid() == coordinator:
+            raise AssertionError("the coordinator wrote to a file descriptor")
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", refused)
+    two = run_batch(plan, template, specs, out_dir=tmp_path / "w2", workers=2)
+    assert _without_timing(one) == _without_timing(two)
+
+
+@pytest.mark.parametrize("crash", [None, (0, 4), (2, 3)],
+                         ids=["none", "first-task-fifth-spec", "last-unit-of-a-share"])
+def test_each_worker_runs_its_share_and_one_fresh_worker_resumes_it(crash, desk, desk6,
+                                                                     tmp_path, monkeypatch):
+    # four tasks on two workers: shares (0, 2) and (1, 3). A crash at
+    # (task, spec) ends its worker before it checks that unit.
+    catalog, matrix, specs = desk6
+    plan = plan_batch(catalog, matrix, specs, (1, 1, 2, 2), bound=70)
+    tasks = sorted(plan.tasks, key=lambda t: t.sort_key)
+    ids = [t.model_id for t in tasks]
+    assert len(tasks) == 4 and len(tasks[2].specs) == 4
+    template = elaborate(parse_model(desk.model_text))
+    one = run_batch(plan, template, specs, out_dir=tmp_path / "w1", workers=1)
+    doomed = crash and (ids[crash[0]], tasks[crash[0]].specs[crash[1]])
+    check_job = runner.check_job
+
+    def dying(template, units):
+        def until_doomed():
+            for unit in units:
+                if (unit[0].model_id, unit[1]) == doomed:
+                    os._exit(1)
+                yield unit
+        return check_job(template, until_doomed())
+
+    log, forks, fork = tmp_path / "built", [], os.fork
+    monkeypatch.setattr(runner, "instance_system", _logging_instance_system(log))
+    monkeypatch.setattr(runner, "check_job", dying)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    two = run_batch(plan, template, specs, out_dir=tmp_path / "w2", workers=2)
+    shares = [[ids[0], ids[2]], [ids[1], ids[3]]]
+    if crash == (0, 4):  # a fresh worker builds the first task again, then the third
+        shares = [[ids[0]], [ids[0], ids[2]], [ids[1], ids[3]]]
+    assert sorted(_builds(log).values()) == shares
+    assert len(forks) == len(shares)
+    for fresh, task in zip(_without_timing(one), _without_timing(two), strict=True):
+        for want, got in zip(fresh.specs, task.specs, strict=True):
+            if (task.model_id, got.name) == doomed:
+                want = replace(want, verdict="ERROR", detail="worker crashed: exit status 1")
+            assert got == want
 
 
 @pytest.mark.parametrize("end", ["normal", "crash", "error"])
@@ -823,7 +891,7 @@ def test_two_workers_build_each_instance_once(desk, desk6, tmp_path, monkeypatch
     log = tmp_path / "built"
     monkeypatch.setattr(runner, "instance_system", _logging_instance_system(log))
     two = run_batch(plan, template, specs, out_dir=tmp_path / "w2", workers=2)
-    assert sorted(log.read_text().split()) == sorted(t.model_id for t in plan.tasks)
+    assert sorted(sum(_builds(log).values(), [])) == sorted(t.model_id for t in plan.tasks)
     assert _without_timing(one) == _without_timing(two)
 
 

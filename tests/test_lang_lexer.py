@@ -20,10 +20,11 @@ from fsmcheck.vcs.generate import VcsConfig, generate_vcs_model
 
 from helpers import FIXTURES, per_character_tokenize
 
-# Non-ASCII letters and digits on which the regex classes and the str
-# predicates part: U+00B2 is isdigit() but not \d, U+00BD and U+2163 are \w
-# but neither isdigit() nor isalpha(), U+0661 and U+1D7CE are \d; also an
+# Non-ASCII characters that a str predicate or a regex class would take for
+# a letter or a digit: U+00B2 is isdigit() but not \d, U+00BD and U+2163 are
+# \w but neither isdigit() nor isalpha(), U+0661 and U+1D7CE are \d; also an
 # accented letter, a feminine ordinal, a combining mark and a no-break space.
+# Each one is an unexpected character outside a comment.
 _NON_ASCII = ["²", "¹", "½", "Ⅳ", "①", "١", "\U0001d7ce",
               "é", "ª", "̀", " ", "été", "x²", "7²"]
 _PIECES = ([lit for lit, _ in _PUNCT] + sorted(KEYWORDS)
@@ -46,15 +47,19 @@ def test_tokens_match_the_per_character_reference(pieces):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("x²", None), ("²¹", None), ("1١²a", None), ("été_1", None),
-    ("a -- tail", None), ("a\n  -- tail", None), ("½", "unexpected character '½'"),
-    ("Ⅳx", "unexpected character 'Ⅳ'"), ("ok\n  @", "unexpected character '@'"),
+    ("x²", "unexpected character '²'"), ("²¹", "unexpected character '²'"),
+    ("1١²a", "unexpected character '١'"), ("été_1", "unexpected character 'é'"),
+    ("a -- tail", None), ("a\n  -- tail", None), ("a -- été ²", None),
+    ("½", "unexpected character '½'"), ("Ⅳx", "unexpected character 'Ⅳ'"),
+    ("ok\n  @", "unexpected character '@'"), ("G[0, \t²] !b", "unexpected character '²'"),
 ])
 def test_non_ascii_and_trailing_comments(text, message):
     got = outcome(tokenize, text)
     assert got == outcome(per_character_tokenize, text)
     if message is not None:
         assert got[1] == message
+    else:
+        assert got[-1].kind == "EOF"
 
 
 def with_spans(node):
